@@ -3,7 +3,7 @@
 A figure6-style grid job — one sample, several L values, a θ grid per L —
 used to pay one sample load *per θ-sweep group* and one full
 bounded-distance computation *per distinct L*.  The grid engine
-(:mod:`repro.api.sweeps`, DESIGN.md §10) collapses both: the sample group
+(:mod:`repro.api.sweeps`, DESIGN.md §9) collapses both: the sample group
 loads its graph once through an :class:`~repro.api.cache.ExecutionCache`,
 and a single engine run at the group's maximum L serves every smaller L by
 thresholding.

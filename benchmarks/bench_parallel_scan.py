@@ -1,9 +1,9 @@
 """Intra-group parallel candidate scanning: one θ-group, many workers.
 
-The tentpole scenario of the scan pool (DESIGN.md §14): a *single*
+The tentpole scenario of the scan pool (DESIGN.md §12): a *single*
 anonymization run — one sample, one θ — whose per-step candidate scans
 shard across ``scan_workers`` processes attached to the session's
-shared-memory publication.  The §12 plane cannot help here (there is
+shared-memory publication.  The §9 plane cannot help here (there is
 only one θ-group); the scan pool parallelizes *inside* it.
 
 Two assertions, mirroring the other accelerator benchmarks:

@@ -1,6 +1,6 @@
 """Out-of-core scale tier: peak RSS stays under the tile-cache budget.
 
-The tentpole claim of the `DistanceStore` seam (DESIGN.md §13): an
+The tentpole claim of the `DistanceStore` seam (DESIGN.md §11): an
 anonymization run whose dense ``n × n`` matrix would blow the configured
 byte budget completes on ``scale_tier="tiled"`` without ever holding
 more than the budget's worth of distance tiles — cold tiles spill to a

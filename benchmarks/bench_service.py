@@ -1,7 +1,7 @@
 """Service-layer overhead: direct grid vs HTTP round-trip vs dedup replay.
 
 Three timings of the same tiny θ-grid quantify what the
-anonymization-as-a-service layer (DESIGN.md §11) costs and saves:
+anonymization-as-a-service layer (DESIGN.md §10) costs and saves:
 
 * ``direct`` — ``run_grid`` in-process, the floor every other number is
   compared against.

@@ -1,19 +1,14 @@
 """Shared-memory data plane: parallel θ-groups over one published sample.
 
-The tentpole scenario of the zero-copy plane (DESIGN.md §12): a
+The scenario of the zero-copy plane (DESIGN.md §9): a
 *single-sample* grid — one dataset/size/seed, several algorithms and L
 values, a θ grid per combination — whose θ-sweep groups fan out across a
 process pool while the parent performs exactly **one** sample load and
 **one** L_max bounded-distance computation, published once into
 shared-memory segments that every worker attaches read-only.
 
-Two baselines bracket the plane:
-
-* ``serial`` — ``max_workers=0``, the in-process reference the responses
-  must be bit-identical to;
-* ``legacy`` — ``shared_memory=False``, the PR-6 fan-out where each
-  worker re-derives its own sample artifacts (the redundant work the
-  arena removes).
+The baseline is ``serial`` — ``max_workers=0``, the in-process reference
+the responses must be bit-identical to.
 
 The work counters are deterministic engine properties and are asserted
 under the CI smoke knob as well; the wall-clock comparison is only
@@ -67,10 +62,6 @@ def bench_shm_grid(benchmark):
     serial = run_grid(grid, max_workers=0)
     serial_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    legacy = run_grid(grid, max_workers=WORKERS, shared_memory=False)
-    legacy_s = time.perf_counter() - start
-
     pooled = benchmark.pedantic(
         run_grid, args=(grid,), kwargs={"max_workers": WORKERS},
         rounds=1, iterations=1)
@@ -78,11 +69,9 @@ def bench_shm_grid(benchmark):
     print(f"\n  grid: {len(grid.requests)} configs in {len(grid.groups())} "
           f"theta group(s) over {len(grid.sample_groups())} sample group(s)"
           f"\n  serial (max_workers=0):        {serial_s:8.3f}s"
-          f"\n  legacy plane ({WORKERS} workers):      {legacy_s:8.3f}s"
           f"\n  shm plane ({WORKERS} workers): see benchmark timing above"
           f"\n  shm grid work: {pooled.num_sample_loads} load(s), "
-          f"{pooled.num_distance_computes} distance computation(s) "
-          f"(legacy plane pays both per worker)")
+          f"{pooled.num_distance_computes} distance computation(s)")
 
     # Deterministic acceptance, asserted at every size: one load and one
     # L_max computation for the whole pooled grid, bit-identical responses.
@@ -90,9 +79,6 @@ def bench_shm_grid(benchmark):
     assert pooled.num_sample_loads == 1
     assert pooled.num_distance_computes == 1
     for ours, theirs in zip(pooled.responses, serial.responses):
-        for field in PARITY_FIELDS:
-            assert getattr(ours, field) == getattr(theirs, field), field
-    for ours, theirs in zip(legacy.responses, serial.responses):
         for field in PARITY_FIELDS:
             assert getattr(ours, field) == getattr(theirs, field), field
 

@@ -11,21 +11,18 @@ Layers (see DESIGN.md §8):
   anonymizer's greedy loop.
 * :mod:`repro.api.facade` — :func:`anonymize`, :func:`compute_opacity`,
   :func:`sweep`.
-* :mod:`repro.api.theta_sweep` — :class:`SweepRequest` / :class:`SweepResponse`
-  and the grouped checkpointed θ-sweep engine (DESIGN.md §9).
 * :mod:`repro.api.sweeps` — :class:`GridRequest` / :class:`GridResponse`
-  and the multi-axis grid engine behind :func:`sweep` and
-  ``repro-lopacity sweep``: dataset × size × seed × L × θ × algorithm
-  grids executed with shared sample/baseline/distance caches
-  (DESIGN.md §10).
+  and the grid engine behind :func:`sweep` and ``repro-lopacity sweep``:
+  dataset × size × seed × L × θ × algorithm grids (a θ sweep is a grid
+  with one axis) executed as checkpointed θ-sweep groups with shared
+  sample/baseline/distance caches (DESIGN.md §9).
 * :mod:`repro.api.cache` — :class:`ExecutionCache`, the per-process
   sample/baseline/L_max-distance cache behind the grid engine and the
   batch workers.
 * :mod:`repro.api.batch` — :class:`BatchRunner` fan-out over worker
-  processes, powering ``repro-lopacity batch`` and parallel experiment
-  sweeps; sweeps fan θ-sweep groups and grids fan sample groups instead
-  of single requests, and every worker holds a process-level
-  :class:`ExecutionCache`.
+  processes, powering ``repro-lopacity batch`` and pooled grids, which
+  fan θ-sweep groups over the shared-memory plane instead of single
+  requests.
 
 Quickstart::
 
@@ -86,14 +83,9 @@ if TYPE_CHECKING:  # pragma: no cover — lazy at runtime, eager for type checke
         GridRequest,
         GridResponse,
         execute_sample_group,
+        execute_sweep_group,
         expand_grid,
         run_grid,
-    )
-    from repro.api.theta_sweep import (
-        SweepRequest,
-        SweepResponse,
-        execute_sweep_group,
-        run_sweep,
     )
 
 #: Lazily resolved attribute -> defining submodule (PEP 562).
@@ -121,13 +113,10 @@ _LAZY = {
     "GridRequest": "repro.api.sweeps",
     "GridResponse": "repro.api.sweeps",
     "execute_sample_group": "repro.api.sweeps",
+    "execute_sweep_group": "repro.api.sweeps",
     "expand_grid": "repro.api.sweeps",
     "run_grid": "repro.api.sweeps",
     "validate_error_policy": "repro.api.sweeps",
-    "SweepRequest": "repro.api.theta_sweep",
-    "SweepResponse": "repro.api.theta_sweep",
-    "execute_sweep_group": "repro.api.theta_sweep",
-    "run_sweep": "repro.api.theta_sweep",
 }
 
 __all__ = [
@@ -153,8 +142,6 @@ __all__ = [
     "OpacityReport",
     "ProgressObserver",
     "StepLimitObserver",
-    "SweepRequest",
-    "SweepResponse",
     "TimeoutObserver",
     "anonymize",
     "available_algorithms",
@@ -178,7 +165,6 @@ __all__ = [
     "request_fingerprint",
     "run_grid",
     "run_requests",
-    "run_sweep",
     "sweep",
     "validate_error_policy",
 ]

@@ -5,25 +5,21 @@ over a ``concurrent.futures.ProcessPoolExecutor``.  Requests cross the
 process boundary as plain dictionaries (the JSON form of the request), so
 workers only need the default registry — the built-in algorithms register
 themselves when :mod:`repro` is imported in the worker.  Custom registries
-with process-local registrations therefore require ``max_workers=0``
-(in-process execution), which is also the deterministic mode used in tests.
+with process-local registrations therefore require in-process execution
+(``max_workers=0``), which is also the deterministic mode used in tests.
 
-:meth:`BatchRunner.run_sweep` fans θ-sweep *groups* (not single requests)
-across the pool: each group is one checkpointed anonymization pass
-(:mod:`repro.api.theta_sweep`), so a worker amortizes a whole θ grid instead of
-re-running the anonymization per grid point.  :meth:`BatchRunner.run_grid`
-fans *θ-sweep groups* over the zero-copy shared-memory data plane
-(:mod:`repro.api.shm`): the parent loads each sample group's graph and runs
-its L_max distance computation exactly once, publishes both to
-shared-memory segments, and workers attach read-only views — so even a
-single-sample grid parallelizes across all cores with zero redundant
-loads or BFS runs.  ``shared_memory=False`` falls back to fanning whole
-*sample groups*, each worker re-deriving its own artifacts.
+:meth:`BatchRunner.run_grid` is the one way a grid (and so a θ sweep, a
+grid with one axis) executes.  Serially it walks the sample groups through
+:func:`~repro.api.sweeps.execute_sample_group`; pooled, it fans *θ-sweep
+groups* over the zero-copy shared-memory data plane (:mod:`repro.api.shm`):
+the parent loads each sample group's graph and runs its L_max distance
+computation exactly once, publishes both to shared-memory segments, and
+workers attach read-only views — so even a single-sample grid
+parallelizes across all cores with zero redundant loads or BFS runs.
 
 Every pool is started with an initializer that installs a process-level
-:class:`~repro.api.cache.ExecutionCache` in the worker, so a worker loads
-each dataset/size/seed sample once across **all** the groups it executes
-(workers are reused between submissions) instead of reloading it per group.
+:class:`~repro.api.cache.ExecutionCache` in the worker, which adopts the
+published arenas (attaching once per arena).
 
 Guarantees:
 
@@ -31,8 +27,7 @@ Guarantees:
   worker finished first.
 * **Failure isolation** — an exception inside one request becomes an error
   response (``response.error`` set, ``success=False``) and never aborts
-  the rest of the batch; sweep groups isolate failures at group
-  granularity.
+  the rest of the batch; grids isolate failures at θ-group granularity.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover — avoids an import cycle at runtime
     from repro.api.cache import ExecutionCache, GridStats
     from repro.api.shm import ArenaDescriptor
     from repro.api.sweeps import GridRequest
-    from repro.api.theta_sweep import SweepRequest
 
 #: Process-level cache of the current worker (installed by the pool
 #: initializer; ``None`` in the parent process and in unpooled execution).
@@ -63,7 +57,7 @@ def _initialize_worker(data_dir: Optional[str]) -> None:
     from repro.core.scan_pool import mark_pool_worker
 
     # θ-group workers already saturate the machine; nested scan pools
-    # inside them would oversubscribe it (DESIGN.md §14).
+    # inside them would oversubscribe it (DESIGN.md §12).
     mark_pool_worker()
     _WORKER_CACHE = ExecutionCache(data_dir=data_dir)
 
@@ -94,71 +88,7 @@ def _execute_payload(payload: Dict[str, Any], data_dir: Optional[str]) -> Dict[s
     return execute_request(request, data_dir=data_dir).to_dict()
 
 
-def _execute_group_payload(payloads: List[Dict[str, Any]], sweep_mode: str,
-                           data_dir: Optional[str],
-                           l_max_hint: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Worker-side entry point for one θ-sweep group (module-level for pickling)."""
-    from repro.api.theta_sweep import execute_sweep_group
-
-    requests = [AnonymizationRequest.from_dict(payload) for payload in payloads]
-    graph = initial_distances = baseline = None
-    cache = worker_cache()
-    if cache is not None and sweep_mode != "independent":
-        # The worker's process-level cache: groups sharing a sample load it
-        # once per worker instead of once per group, and the per-sample
-        # baseline and L-bounded matrix are likewise derived once.
-        # ``l_max_hint`` carries the sweep-wide maximum L of this sample's
-        # incremental groups, so a worker executing an L sweep computes the
-        # matrix once at L_max instead of once per distinct L.
-        first = requests[0]
-        try:
-            graph = cache.graph_for(first)
-            if first.evaluation_mode == "incremental":
-                initial_distances = cache.distances_for(
-                    first, max(l_max_hint or 1, first.length_threshold))
-            if any(request.include_utility for request in requests):
-                baseline = cache.baseline_for(first)
-        except Exception as exc:  # noqa: BLE001 — same isolation as the group
-            return [AnonymizationResponse.failure(request, exc).to_dict()
-                    for request in requests]
-    responses = execute_sweep_group(requests, sweep_mode=sweep_mode,
-                                    data_dir=data_dir, graph=graph,
-                                    initial_distances=initial_distances,
-                                    baseline=baseline)
-    return [response.to_dict() for response in responses]
-
-
-def _execute_sample_group_payload(payloads: List[Dict[str, Any]],
-                                  sweep_mode: str,
-                                  data_dir: Optional[str],
-                                  on_error: str = "isolate") -> Dict[str, Any]:
-    """Worker-side entry point for one grid sample group (module-level).
-
-    Returns ``{"responses": [...], "stats": (sample_loads,
-    distance_computes)}`` — the response dicts plus this task's counter
-    deltas, so the parent can aggregate grid-wide work totals.
-    """
-    from repro.api.cache import ExecutionCache
-    from repro.api.sweeps import execute_sample_group
-
-    requests = [AnonymizationRequest.from_dict(payload) for payload in payloads]
-    cache = worker_cache() or ExecutionCache(data_dir=data_dir)
-    loads, computes = cache.sample_loads, cache.distance_computes
-    try:
-        responses = execute_sample_group(requests, sweep_mode=sweep_mode,
-                                         data_dir=data_dir, cache=cache,
-                                         on_error=on_error)
-    finally:
-        # A sample group is handed to a worker exactly once, so its entries
-        # can never be hit again — drop them to bound worker memory.
-        cache.release(requests[0])
-    return {"responses": [response.to_dict() for response in responses],
-            "stats": (cache.sample_loads - loads,
-                      cache.distance_computes - computes)}
-
-
 def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
-                               sweep_mode: str,
                                data_dir: Optional[str],
                                descriptor: "ArenaDescriptor",
                                baseline: Optional[Any] = None) -> Dict[str, Any]:
@@ -170,12 +100,13 @@ def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
     by thresholding the shared L_max view, and executes the θ-sweep group
     exactly like the serial path.  ``baseline`` is the parent-computed
     utility baseline (``None`` when no request of the group needs one).
-    Returns the same ``{"responses", "stats"}`` envelope as
-    :func:`_execute_sample_group_payload`; the stats deltas stay (0, 0)
-    unless the worker had to fall back to real work.
+    Returns ``{"responses": [...], "stats": (sample_loads,
+    distance_computes)}`` — the response dicts plus this task's counter
+    deltas, which stay (0, 0) unless the worker had to fall back to real
+    work.
     """
     from repro.api.cache import ExecutionCache
-    from repro.api.theta_sweep import execute_sweep_group
+    from repro.api.sweeps import execute_sweep_group
 
     requests = [AnonymizationRequest.from_dict(payload) for payload in payloads]
     cache = worker_cache() or ExecutionCache(data_dir=data_dir)
@@ -194,8 +125,7 @@ def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
                               for request in requests],
                 "stats": (cache.sample_loads - loads,
                           cache.distance_computes - computes)}
-    responses = execute_sweep_group(requests, sweep_mode=sweep_mode,
-                                    data_dir=data_dir, graph=graph,
+    responses = execute_sweep_group(requests, data_dir=data_dir, graph=graph,
                                     initial_distances=initial_distances,
                                     baseline=baseline)
     return {"responses": [response.to_dict() for response in responses],
@@ -215,21 +145,14 @@ class BatchRunner:
     data_dir:
         Optional directory with real SNAP dataset files, forwarded to the
         dataset loaders in every worker.
-    shared_memory:
-        Whether :meth:`run_grid` uses the zero-copy shared-memory data
-        plane when pooled.  ``None`` (default) means *on* whenever a pool
-        is used; ``False`` is the escape hatch back to the sample-group
-        fan-out.  Ignored with ``max_workers=0``.
     """
 
     def __init__(self, max_workers: Optional[int] = None, *,
-                 data_dir: Optional[str] = None,
-                 shared_memory: Optional[bool] = None) -> None:
+                 data_dir: Optional[str] = None) -> None:
         if max_workers is not None and max_workers < 0:
             raise ValueError(f"max_workers must be >= 0 or None, got {max_workers}")
         self._max_workers = max_workers
         self._data_dir = data_dir
-        self._shared_memory = shared_memory
 
     def run(self, requests: Sequence[AnonymizationRequest]) -> List[AnonymizationResponse]:
         """Execute ``requests`` and return responses in request order."""
@@ -257,17 +180,6 @@ class BatchRunner:
         return [execute_request(request, data_dir=self._data_dir)
                 for request in requests]
 
-    def _run_independent(self, requests: List[AnonymizationRequest],
-                         registry: Optional[AnonymizerRegistry]
-                         ) -> List[AnonymizationResponse]:
-        """The sweep/grid opt-out path: per-request fan-out, registry honoured
-        in-process (workers always resolve through the default registry)."""
-        if self._max_workers == 0 and registry is not None:
-            return [execute_request(request, registry=registry,
-                                    data_dir=self._data_dir)
-                    for request in requests]
-        return self.run(requests)
-
     def _worker_count(self, num_jobs: int) -> int:
         """Pool size for ``num_jobs`` independent submissions."""
         workers = self._max_workers or os.cpu_count() or 1
@@ -280,193 +192,63 @@ class BatchRunner:
                                    initargs=(self._data_dir,))
 
     # ------------------------------------------------------------------
-    # θ-sweep groups
-    # ------------------------------------------------------------------
-    def run_sweep(self, sweep: "SweepRequest", *,
-                  registry: Optional[AnonymizerRegistry] = None
-                  ) -> List[AnonymizationResponse]:
-        """Execute a sweep, fanning θ-sweep *groups* across the pool.
-
-        Each group runs as one checkpointed anonymization pass; responses
-        come back in request order.  ``sweep_mode="independent"`` opts out
-        of grouping entirely and takes :meth:`run`'s per-request fan-out
-        (per-request timeouts, failure isolation, and parallelism).  A
-        custom ``registry`` is only honoured with ``max_workers=0`` —
-        workers resolve algorithms through the default registry, like
-        :meth:`run`.
-        """
-        from repro.api.theta_sweep import execute_sweep_group
-
-        if sweep.sweep_mode == "independent":
-            return self._run_independent(list(sweep.requests), registry)
-        groups = sweep.groups()
-        ordered: List[Optional[AnonymizationResponse]] = [None] * len(sweep.requests)
-        if self._max_workers == 0 or len(groups) == 1:
-            for indices in groups:
-                responses = execute_sweep_group(
-                    [sweep.requests[index] for index in indices],
-                    sweep_mode=sweep.sweep_mode, registry=registry,
-                    data_dir=self._data_dir)
-                for index, response in zip(indices, responses):
-                    ordered[index] = response
-            return ordered  # type: ignore[return-value]
-        # Sweep-wide maximum L per (sample, engine) over incremental groups:
-        # a worker that executes several L groups of one sample computes the
-        # shared matrix once, at the hinted bound, instead of once per L.
-        from repro.api.cache import sample_key
-
-        l_max_hints: Dict[Any, int] = {}
-        for request in sweep.requests:
-            if request.evaluation_mode == "incremental":
-                hint_key = (sample_key(request), request.engine)
-                l_max_hints[hint_key] = max(l_max_hints.get(hint_key, 1),
-                                            request.length_threshold)
-        workers = self._worker_count(len(groups))
-        with self._pool(workers) as pool:
-            futures: List[Future] = [
-                pool.submit(_execute_group_payload,
-                            [sweep.requests[index].to_dict() for index in indices],
-                            sweep.sweep_mode, self._data_dir,
-                            l_max_hints.get(
-                                (sample_key(sweep.requests[indices[0]]),
-                                 sweep.requests[indices[0]].engine)))
-                for indices in groups
-            ]
-            for indices, future in zip(groups, futures):
-                try:
-                    payloads = future.result()
-                    responses = [AnonymizationResponse.from_dict(payload)
-                                 for payload in payloads]
-                except Exception as exc:  # worker crash / pool breakage
-                    responses = [AnonymizationResponse.failure(
-                        sweep.requests[index], exc) for index in indices]
-                for index, response in zip(indices, responses):
-                    ordered[index] = response
-        return ordered  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # multi-axis grids
+    # grids
     # ------------------------------------------------------------------
     def run_grid(self, grid: "GridRequest", *,
                  registry: Optional[AnonymizerRegistry] = None,
                  cache: Optional["ExecutionCache"] = None,
                  stats: Optional["GridStats"] = None
                  ) -> List[AnonymizationResponse]:
-        """Execute a grid, fanning *θ-sweep groups* over shared memory.
+        """Execute a grid, responses in request order.
 
-        On the default shared-memory data plane the parent resolves each
-        sample group's graph and runs its L_max bounded-distance
-        computation exactly once, publishes both to shared-memory segments
-        (:mod:`repro.api.shm`), and fans the sample's θ-sweep groups —
-        each a checkpointed anonymization pass — across the pool carrying
-        only arena descriptors.  ``shared_memory=False`` (on the runner)
-        falls back to fanning whole *sample groups*: every request sharing
-        a dataset/size/seed runs on one worker that derives its own
-        artifacts.  Responses come back in request order and are
-        bit-identical between the planes and the ``max_workers=0`` serial
-        path.  ``sweep_mode="independent"`` opts out of all grouping and
-        takes :meth:`run`'s per-request fan-out.  A custom ``registry``
-        (or an injected ``cache``, the instrumentation/sharing hook of the
-        benches) is only honoured with ``max_workers=0``; workers build
-        their own process-level caches.
+        The serial path — ``max_workers=0``, a grid of a single θ-sweep
+        group, a custom ``registry`` (workers only know the default one),
+        or an injected ``cache`` (the instrumentation/sharing hook of the
+        benches) — runs each sample group in this process through
+        :func:`~repro.api.sweeps.execute_sample_group`.  Otherwise the
+        θ-sweep groups fan out over the shared-memory plane
+        (:meth:`_run_grid_shared`).  Both paths return bit-identical
+        responses.
 
         ``stats``, when given, accumulates grid-wide sample-load and
-        distance-computation counts across every participating process;
-        its ``tracked`` flag is set on the paths that can observe them
-        (all grouped executions — not independent mode).
-
+        distance-computation counts across every participating process.
         The grid's ``on_error`` policy governs failure handling:
-        ``"isolate"`` (default) keeps the historical behaviour, while
-        ``"fail_fast"`` raises :class:`~repro.errors.GridAbortedError` on
-        the first failed request, cancelling not-yet-started work
-        (in-flight workers finish their current group).
+        ``"isolate"`` (default) turns a failure into error responses,
+        while ``"fail_fast"`` raises
+        :class:`~repro.errors.GridAbortedError` on the first failed
+        request, cancelling not-yet-started work (in-flight workers finish
+        their current group).
         """
         from repro.api.cache import ExecutionCache
-        from repro.api.sweeps import _abort_on_error, execute_sample_group
-        from repro.errors import GridAbortedError
+        from repro.api.sweeps import execute_sample_group
 
-        on_error = getattr(grid, "on_error", "isolate")
-        if grid.sweep_mode == "independent":
-            responses = self._run_independent(list(grid.requests), registry)
-            if on_error == "fail_fast":
-                _abort_on_error(responses)
-            return responses
-        groups = grid.sample_groups()
-        pooled = self._max_workers != 0 and len(grid.groups()) > 1
-        use_shm = True if self._shared_memory is None else self._shared_memory
-        if pooled and use_shm and registry is None and cache is None:
-            return self._run_grid_shared(grid, on_error, stats)
+        if (self._max_workers != 0 and len(grid.groups()) > 1
+                and registry is None and cache is None):
+            return self._run_grid_shared(grid, stats)
+        owned = cache is None
+        if owned:
+            cache = ExecutionCache(data_dir=self._data_dir)
+        loads = cache.sample_loads
+        computes = cache.distance_computes
         ordered: List[Optional[AnonymizationResponse]] = [None] * len(grid.requests)
-        if self._max_workers != 0 and not use_shm and len(groups) == 1 \
-                and cache is None and registry is None and on_error == "isolate":
-            # Legacy plane, single sample group: nothing to fan at sample
-            # granularity, so take run_sweep's θ-group fan-out (each
-            # worker derives its own sample artifacts).  On the shm plane
-            # a single θ-group grid instead runs serially below — one
-            # group has no parallelism to exploit, and the serial path
-            # tracks the work counters.
-            from repro.api.theta_sweep import SweepRequest
-
-            return self.run_sweep(SweepRequest(requests=grid.requests,
-                                               sweep_mode=grid.sweep_mode))
-        if self._max_workers == 0 or len(groups) == 1:
-            owned = cache is None
+        for indices in grid.sample_groups():
+            group = [grid.requests[index] for index in indices]
+            responses = execute_sample_group(
+                group, registry=registry, data_dir=self._data_dir,
+                cache=cache, on_error=grid.on_error)
             if owned:
-                cache = ExecutionCache(data_dir=self._data_dir)
-            loads = cache.sample_loads
-            computes = cache.distance_computes
-            for indices in groups:
-                group = [grid.requests[index] for index in indices]
-                responses = execute_sample_group(
-                    group, sweep_mode=grid.sweep_mode, registry=registry,
-                    data_dir=self._data_dir, cache=cache, on_error=on_error)
-                if owned:
-                    # Each sample group is visited exactly once, so its
-                    # entries can be dropped immediately to bound peak
-                    # memory (an injected cache keeps caller semantics).
-                    cache.release(group[0])
-                for index, response in zip(indices, responses):
-                    ordered[index] = response
-            if stats is not None:
-                stats.add(cache.sample_loads - loads,
-                          cache.distance_computes - computes)
-                stats.tracked = True
-            return ordered  # type: ignore[return-value]
-        workers = self._worker_count(len(groups))
-        with self._pool(workers) as pool:
-            futures: List[Future] = [
-                pool.submit(_execute_sample_group_payload,
-                            [grid.requests[index].to_dict() for index in indices],
-                            grid.sweep_mode, self._data_dir, on_error)
-                for indices in groups
-            ]
-            for indices, future in zip(groups, futures):
-                try:
-                    result = future.result()
-                    responses = [AnonymizationResponse.from_dict(payload)
-                                 for payload in result["responses"]]
-                    if stats is not None:
-                        stats.add(*result["stats"])
-                except GridAbortedError:
-                    for pending in futures:
-                        pending.cancel()
-                    raise
-                except Exception as exc:  # worker crash / pool breakage
-                    if on_error == "fail_fast":
-                        for pending in futures:
-                            pending.cancel()
-                        raise GridAbortedError(
-                            f"grid aborted (on_error='fail_fast'): worker "
-                            f"failed with {type(exc).__name__}: {exc}") from exc
-                    responses = [AnonymizationResponse.failure(
-                        grid.requests[index], exc) for index in indices]
-                for index, response in zip(indices, responses):
-                    ordered[index] = response
+                # Each sample group is visited exactly once, so its entries
+                # can be dropped immediately to bound peak memory (an
+                # injected cache keeps caller semantics).
+                cache.release(group[0])
+            for index, response in zip(indices, responses):
+                ordered[index] = response
         if stats is not None:
-            stats.tracked = True
+            stats.add(cache.sample_loads - loads,
+                      cache.distance_computes - computes)
         return ordered  # type: ignore[return-value]
 
-    def _run_grid_shared(self, grid: "GridRequest", on_error: str,
+    def _run_grid_shared(self, grid: "GridRequest",
                          stats: Optional["GridStats"]
                          ) -> List[AnonymizationResponse]:
         """The zero-copy plane: θ-sweep groups fan out over shared arenas.
@@ -489,6 +271,7 @@ class BatchRunner:
         from repro.errors import GridAbortedError
         from repro.graph.matrices import distance_dtype
 
+        on_error = grid.on_error
         parent = ExecutionCache(data_dir=self._data_dir)
         ordered: List[Optional[AnonymizationResponse]] = [None] * len(grid.requests)
         workers = self._worker_count(len(grid.groups()))
@@ -593,7 +376,7 @@ class BatchRunner:
                         future = pool.submit(
                             _execute_shm_group_payload,
                             [request.to_dict() for request in sub],
-                            grid.sweep_mode, self._data_dir,
+                            self._data_dir,
                             arena.descriptor,
                             baseline if needs_baseline else None)
                         tasks.append((todo, future, arena))
@@ -635,5 +418,4 @@ class BatchRunner:
                 arena.unlink()
         if stats is not None:
             stats.add(parent.sample_loads, parent.distance_computes)
-            stats.tracked = True
         return ordered  # type: ignore[return-value]

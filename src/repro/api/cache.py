@@ -58,11 +58,6 @@ class GridStats:
 
     sample_loads: int = 0
     distance_computes: int = 0
-    #: Whether any execution path actually reported counters.  Routing
-    #: modes that cannot observe the work (custom registries, independent
-    #: mode) leave this ``False`` so ``run_grid`` reports ``None`` instead
-    #: of a misleading zero.
-    tracked: bool = False
 
     def add(self, sample_loads: int, distance_computes: int) -> None:
         """Accumulate one process's counter deltas."""

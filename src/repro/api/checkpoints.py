@@ -170,9 +170,10 @@ def materialize_response(request: AnonymizationRequest,
     The checkpoint must come from a schedule pass over ``request``'s
     configuration with ``checkpoint.theta == request.theta``; the result —
     including the utility metrics computed when ``request.include_utility``
-    is set — is then identical to what :func:`~repro.api.theta_sweep.execute_sweep_group`
-    builds for that grid point, so resumed jobs can serve already-crossed
-    θs straight from the store.  ``original_graph`` (the pristine input
+    is set — is then identical to what
+    :func:`~repro.api.sweeps.execute_sweep_group` builds for that grid
+    point, so resumed jobs can serve already-crossed θs straight from the
+    store.  ``original_graph`` (the pristine input
     sample) is resolved from the request when not supplied; ``baseline``
     short-circuits the utility baseline like the grid engine's shared one.
     """

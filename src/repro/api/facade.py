@@ -146,27 +146,22 @@ def sweep(base: AnonymizationRequest, *,
           length_thresholds: Optional[Sequence[int]] = None,
           lookaheads: Optional[Sequence[int]] = None,
           seeds: Optional[Sequence[int]] = None,
-          sweep_mode: str = "checkpointed",
           max_workers: Optional[int] = 0,
-          data_dir: Optional[str] = None,
-          shared_memory: Optional[bool] = None) -> List[AnonymizationResponse]:
+          data_dir: Optional[str] = None) -> List[AnonymizationResponse]:
     """Expand ``base`` over the given axes and execute the grid.
 
     The grid is partitioned into sample groups (requests sharing a
     dataset/size/seed, which share one loaded sample and one L_max
     bounded-distance computation) and, within them, into θ-sweep groups
-    (requests identical in everything but θ); with
-    ``sweep_mode="checkpointed"`` (the default) each θ-sweep group runs as
-    *one* anonymization pass with per-θ checkpoints — a k-point θ grid
-    costs roughly one run instead of k — while ``"independent"`` preserves
-    the one-run-per-request path.  All modes return identical responses.
-    ``max_workers=0`` (the default) runs in-process; any other value fans
-    the *θ-sweep groups* across a :class:`repro.api.batch.BatchRunner`
-    process pool over the zero-copy shared-memory data plane (``None`` =
-    one worker per CPU; ``shared_memory=False`` falls back to fanning
-    whole sample groups).  Responses come back in expansion order (θ
-    fastest), with failures isolated into error responses at group
-    granularity.
+    (requests identical in everything but θ), each run as *one*
+    anonymization pass with per-θ checkpoints — a k-point θ grid costs
+    roughly one run instead of k, with responses identical to
+    independent runs.  ``max_workers=0`` (the default) runs in-process;
+    any other value fans the *θ-sweep groups* across a
+    :class:`repro.api.batch.BatchRunner` process pool over the zero-copy
+    shared-memory data plane (``None`` = one worker per CPU).  Responses
+    come back in expansion order (θ fastest), with failures isolated into
+    error responses at group granularity.
     """
     from repro.api.sweeps import GridRequest, run_grid
 
@@ -174,10 +169,9 @@ def sweep(base: AnonymizationRequest, *,
         base, datasets=datasets, sample_sizes=sample_sizes,
         algorithms=algorithms, thetas=thetas,
         length_thresholds=length_thresholds, lookaheads=lookaheads,
-        seeds=seeds, sweep_mode=sweep_mode)
+        seeds=seeds)
     return list(run_grid(request, max_workers=max_workers,
-                         data_dir=data_dir,
-                         shared_memory=shared_memory).responses)
+                         data_dir=data_dir).responses)
 
 
 def run_requests(requests: Iterable[AnonymizationRequest], *,

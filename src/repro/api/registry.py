@@ -46,7 +46,6 @@ _TUNING_PARAMS = frozenset({
     "evaluation_mode",
     "scan_mode",
     "scan_workers",
-    "sweep_mode",
     "max_steps",
     "scale_tier",
     "scale_budget_bytes",

@@ -14,11 +14,11 @@ L_max bounds.  Workers attach read-only views, rebuild the
 :class:`~repro.graph.graph.Graph` from the shared edge array with zero
 disk I/O, and derive their own ``length_threshold`` matrix by thresholding
 the shared L_max view — the same monotone-restriction argument the serial
-path uses (DESIGN.md §10), with the one unavoidable copy deferred to the
+path uses (DESIGN.md §9), with the one unavoidable copy deferred to the
 moment a :class:`~repro.graph.distance_delta.DistanceSession` takes
 ownership of its (mutable) matrix.
 
-Ownership rules (DESIGN.md §12):
+Ownership rules (DESIGN.md §9):
 
 * the parent that calls :meth:`SharedSampleArena.publish` owns the
   segments and is the only process that ever calls

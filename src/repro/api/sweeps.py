@@ -1,14 +1,9 @@
-"""Multi-axis experiment grid engine at the service layer.
+"""The grid engine: every sweep and grid runs through this module.
 
 The paper's figures vary more than θ: dataset, sample size, seed, path
-bound L, look-ahead, and algorithm all appear as experiment axes.  The
-θ-sweep engine (:mod:`repro.api.theta_sweep`) makes the θ axis nearly free
-— one checkpointed anonymization per group — but every other axis still
-paid full price per group: the sample was reloaded, the utility baseline
-recomputed, and every distinct L ran its own full bounded-distance
-computation.
-
-This module generalizes the sweep into a **grid**:
+bound L, look-ahead, and algorithm all appear as experiment axes.  A
+**grid** is an arbitrary list of requests over those axes — a θ sweep is
+simply a grid with one axis — and it executes in two nested partitions:
 
 * :func:`expand_grid` / :meth:`GridRequest.from_axes` — cartesian-product
   expansion of a base request over any subset of
@@ -16,17 +11,20 @@ This module generalizes the sweep into a **grid**:
 * :func:`sample_groups` — partition a grid by *graph source* (dataset,
   size, seed — or explicit edges), the unit across which loaded samples,
   baselines, and distance matrices are shared;
-* :func:`execute_sample_group` — run one sample group: load the sample
-  once (through an :class:`~repro.api.cache.ExecutionCache`), run one full
+* :func:`group_requests` — partition by everything but θ: each such
+  θ-sweep group is served by :func:`execute_sweep_group` as *one*
+  checkpointed anonymization pass (θ only gates the greedy loop's
+  termination, so per-θ checkpoints equal independent runs);
+* :func:`execute_sample_group` — the serial path: load the sample once
+  (through an :class:`~repro.api.cache.ExecutionCache`), run one
   bounded-distance computation at the group's maximum L and serve every
   smaller L by thresholding
-  (:class:`~repro.graph.distance_cache.LMaxDistanceCache`), then execute
-  each θ-sweep group through the checkpointed schedule with failure
-  isolated per θ-group;
-* :func:`run_grid` — fan the sample groups of a whole :class:`GridRequest`
-  across a :class:`~repro.api.batch.BatchRunner` process pool (each worker
-  holds a process-level cache, so it loads each sample once across all the
-  groups it executes) and return a :class:`GridResponse` in request order.
+  (:class:`~repro.graph.distance_cache.LMaxDistanceCache`), then run each
+  θ-sweep group with failure isolated per group;
+* :func:`run_grid` — execute a whole :class:`GridRequest` through a
+  :class:`~repro.api.batch.BatchRunner`: serially, or with θ-sweep groups
+  fanned over the pooled shared-memory plane, and return a
+  :class:`GridResponse` in request order.
 
 Per-configuration responses are bit-identical to independent
 :func:`~repro.api.facade.anonymize` runs (asserted by
@@ -36,16 +34,20 @@ Per-configuration responses are bit-identical to independent
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.cache import ExecutionCache, GridStats, sample_key
-from repro.api.progress import ProgressObserver, notify_group
-from repro.api.registry import AnonymizerRegistry
+from repro.api.progress import (
+    ProgressObserver,
+    TimeoutObserver,
+    combine_observers,
+    notify_group,
+)
+from repro.api.registry import AnonymizerRegistry, default_registry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
-from repro.api.theta_sweep import execute_sweep_group, group_requests
-from repro.core.anonymizer import validate_sweep_mode
+from repro.core.anonymizer import validate_theta_schedule
 from repro.errors import ConfigurationError, GridAbortedError
 
 __all__ = [
@@ -56,6 +58,8 @@ __all__ = [
     "ThetaGroupPlan",
     "expand_grid",
     "execute_sample_group",
+    "execute_sweep_group",
+    "group_requests",
     "plan_sample_group",
     "run_grid",
     "sample_groups",
@@ -77,8 +81,7 @@ def validate_error_policy(on_error: str) -> None:
 
 #: Grid axes in canonical nesting order (outermost first, θ varies
 #: fastest).  The relative order of the non-sample axes matches
-#: :func:`repro.api.facade.expand_sweep`, so grids without dataset/size
-#: axes expand in exactly the order the θ-sweep engine always used.
+#: :func:`repro.api.facade.expand_sweep`.
 GRID_AXES: Tuple[str, ...] = ("dataset", "sample_size", "algorithm",
                               "length_threshold", "lookahead", "seed", "theta")
 
@@ -125,6 +128,26 @@ def sample_groups(requests: Sequence[AnonymizationRequest]) -> List[List[int]]:
     return list(groups.values())
 
 
+def _group_key(request: AnonymizationRequest) -> AnonymizationRequest:
+    """The θ-sweep grouping key: everything but θ (and the request id)."""
+    return replace(request, theta=0.0, request_id=None)
+
+
+def group_requests(requests: Sequence[AnonymizationRequest]) -> List[List[int]]:
+    """Partition request indices into θ-sweep groups.
+
+    Requests that agree on every field except ``theta`` and ``request_id``
+    — same graph source, algorithm, L, look-ahead, seed, tuning knobs, and
+    execution options — form one group and are served by a single
+    checkpointed pass.  Group order follows first appearance; indices
+    within a group keep their input order.
+    """
+    groups: Dict[AnonymizationRequest, List[int]] = {}
+    for index, request in enumerate(requests):
+        groups.setdefault(_group_key(request), []).append(index)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class GridRequest:
     """A multi-axis grid of anonymization jobs executed with shared caches.
@@ -134,18 +157,16 @@ class GridRequest:
     and each sample group into θ-sweep groups, so the θ axis costs one
     checkpointed pass per group and the remaining axes share one loaded
     sample and one L_max distance computation.  Every field survives a
-    JSON round-trip, mirroring :class:`~repro.api.theta_sweep.SweepRequest`.
+    JSON round-trip, mirroring :class:`~repro.api.requests.AnonymizationRequest`.
     """
 
     requests: Tuple[AnonymizationRequest, ...]
-    sweep_mode: str = "checkpointed"
     on_error: str = "isolate"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
         if not self.requests:
             raise ConfigurationError("a grid requires at least one request")
-        validate_sweep_mode(self.sweep_mode)
         validate_error_policy(self.on_error)
 
     @classmethod
@@ -157,7 +178,6 @@ class GridRequest:
                   lookaheads: Optional[Sequence[int]] = None,
                   seeds: Optional[Sequence[int]] = None,
                   thetas: Optional[Sequence[float]] = None,
-                  sweep_mode: str = "checkpointed",
                   on_error: str = "isolate") -> "GridRequest":
         """Expand ``base`` over the given axes (see :func:`expand_grid`)."""
         axes: Dict[str, Sequence[Any]] = {}
@@ -170,8 +190,7 @@ class GridRequest:
                              ("theta", thetas)):
             if values is not None:
                 axes[name] = values
-        return cls(requests=tuple(expand_grid(base, axes)),
-                   sweep_mode=sweep_mode, on_error=on_error)
+        return cls(requests=tuple(expand_grid(base, axes)), on_error=on_error)
 
     def sample_groups(self) -> List[List[int]]:
         """Indices of :attr:`requests` grouped by shared graph source."""
@@ -188,7 +207,6 @@ class GridRequest:
         """Plain-data (JSON-safe) form."""
         return {
             "requests": [request.to_dict() for request in self.requests],
-            "sweep_mode": self.sweep_mode,
             "on_error": self.on_error,
         }
 
@@ -222,12 +240,11 @@ class GridResponse:
     ``num_sample_loads`` / ``num_distance_computes`` report the total work
     the grid performed across *every* participating process (parent and
     pool workers) — the observable the shared caches and the shared-memory
-    data plane are judged by.  They are ``None`` when the execution path
-    could not track them (custom registries, independent mode).
+    data plane are judged by.  They are ``None`` when the grid ran without
+    a tracking :class:`~repro.api.cache.GridStats`.
     """
 
     responses: Tuple[AnonymizationResponse, ...]
-    sweep_mode: str = "checkpointed"
     num_groups: int = 0
     num_sample_groups: int = 0
     num_sample_loads: Optional[int] = None
@@ -248,7 +265,6 @@ class GridResponse:
         """Plain-data (JSON-safe) form."""
         return {
             "responses": [response.to_dict() for response in self.responses],
-            "sweep_mode": self.sweep_mode,
             "num_groups": self.num_groups,
             "num_sample_groups": self.num_sample_groups,
             "num_sample_loads": self.num_sample_loads,
@@ -350,6 +366,87 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
     return plans, l_max_by_engine
 
 
+def execute_sweep_group(requests: Sequence[AnonymizationRequest], *,
+                        registry: Optional[AnonymizerRegistry] = None,
+                        observer: Optional[ProgressObserver] = None,
+                        data_dir: Optional[str] = None,
+                        graph=None, initial_distances=None,
+                        baseline=None, resume_from=None
+                        ) -> List[AnonymizationResponse]:
+    """Execute one θ-sweep group as one pass, responses in request order.
+
+    All requests must share a :func:`group_requests` key; the algorithm is
+    built once and the θ grid runs through its ``anonymize_schedule`` — a
+    single checkpointed pass whose per-θ responses are identical to
+    independently executed requests.  Failures are isolated at group
+    granularity: an exception anywhere in the shared pass yields error
+    responses for every request of the group.  ``timeout_seconds``, when
+    set, bounds the whole pass with the largest timeout of the group.
+
+    The optional keywords carry what the caller already holds: ``graph``
+    (the pristine sample — runs copy it), ``initial_distances`` (the
+    group's L-bounded matrix, consumed by the run), and ``baseline`` (the
+    sample's utility baseline); each defaults to the cold path.
+    ``resume_from`` (a checkpoint of an interrupted pass over the same
+    configuration, above every θ of ``requests``) is handed to the
+    schedule, which continues the pass from it or — for algorithms that
+    cannot resume — re-runs the θs cold with identical responses.  A
+    resumed group never receives ``initial_distances``: the matrix
+    describes the original graph, not the checkpoint's.
+    """
+    from repro.api.batch import execute_request
+    from repro.metrics import graph_baseline, utility_report
+
+    requests = list(requests)
+    if not requests:
+        return []
+    try:
+        registry = registry if registry is not None else default_registry()
+        first = requests[0]
+        schedule = validate_theta_schedule([request.theta
+                                            for request in requests])
+        params = dict(first.algorithm_params())
+        params["theta"] = schedule[-1]
+        algorithm = registry.create(first.algorithm, **params)
+        if not hasattr(algorithm, "anonymize_schedule"):
+            # A registered algorithm without schedule support: one run per θ.
+            return [execute_request(request, registry=registry,
+                                    observer=observer, data_dir=data_dir)
+                    for request in requests]
+        if graph is None:
+            graph = first.resolve_graph(data_dir=data_dir)
+        timeouts = [request.timeout_seconds for request in requests
+                    if request.timeout_seconds is not None]
+        if timeouts:
+            observer = combine_observers(observer,
+                                         TimeoutObserver(max(timeouts)))
+        results = algorithm.anonymize_schedule(
+            graph, schedule, observer=observer,
+            initial_distances=initial_distances, resume_from=resume_from)
+        by_theta = {result.config.theta: result for result in results}
+        responses = []
+        for request in requests:
+            result = by_theta[float(request.theta)]
+            metrics = None
+            if request.include_utility:
+                if baseline is None:
+                    baseline = graph_baseline(result.original_graph)
+                report = utility_report(result.original_graph,
+                                        result.anonymized_graph,
+                                        include_spectral=False,
+                                        baseline=baseline)
+                metrics = {key: value
+                           for key, value in report.as_dict().items()
+                           if key not in ("eigenvalue_shift",
+                                          "connectivity_shift")}
+            responses.append(AnonymizationResponse.from_result(
+                request, result, metrics=metrics))
+        return responses
+    except Exception as exc:  # noqa: BLE001 — isolation is the contract
+        return [AnonymizationResponse.failure(request, exc)
+                for request in requests]
+
+
 def _abort_on_error(responses: Sequence[AnonymizationResponse]) -> None:
     """Raise :class:`GridAbortedError` for the first failed response."""
     for response in responses:
@@ -364,7 +461,6 @@ def _abort_on_error(responses: Sequence[AnonymizationResponse]) -> None:
 
 
 def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
-                         sweep_mode: str = "checkpointed",
                          registry: Optional[AnonymizerRegistry] = None,
                          observer: Optional[ProgressObserver] = None,
                          data_dir: Optional[str] = None,
@@ -374,52 +470,34 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
                          ) -> List[AnonymizationResponse]:
     """Execute one sample group of a grid, responses in request order.
 
-    All requests must share a graph source (one :func:`sample_groups`
-    partition).  The sample is loaded once through ``cache`` (a throwaway
-    cache is created when none is given — within-group amortization still
-    applies), the utility baseline is derived once, and one full
-    bounded-distance computation at the group's maximum L serves every
-    θ-sweep group's initial matrix by thresholding.  Each θ-sweep group
-    then runs through :func:`~repro.api.theta_sweep.execute_sweep_group`
-    with its own failure isolation: a failing group (or a failing sample
-    load) yields error responses without aborting its neighbours —
-    unless ``on_error="fail_fast"``, which turns the first failure into a
-    :class:`~repro.errors.GridAbortedError` instead.
+    This is the serial grid path.  All requests must share a graph source
+    (one :func:`sample_groups` partition).  The sample is loaded once
+    through ``cache`` (a throwaway cache is created when none is given —
+    within-group amortization still applies), the utility baseline is
+    derived once, and one full bounded-distance computation at the
+    group's maximum L serves every θ-sweep group's initial matrix by
+    thresholding.  Each θ-sweep group then runs through
+    :func:`execute_sweep_group` with its own failure isolation: a failing
+    group (or a failing sample load) yields error responses without
+    aborting its neighbours — unless ``on_error="fail_fast"``, which turns
+    the first failure into a :class:`~repro.errors.GridAbortedError`.
 
     ``resume_from`` maps request indices (into ``requests``) to
     ``AnonymizationCheckpoint`` records persisted by an earlier,
     interrupted run of the same group.  Grid points whose checkpoint is
     present are *materialized* from it (no anonymization work); each
-    θ-group's remaining grid points either continue the interrupted pass
-    from its lowest-θ checkpoint (when the algorithm supports
-    ``resume_from`` and the checkpoint carries an RNG state) or re-run
-    cold — both bit-identical to the uninterrupted run.  Before running a
-    θ-group the executor announces the indices about to run via the
-    observer's optional ``on_group`` hook, so checkpoint-persisting
-    observers can attribute the stream.
-
-    ``sweep_mode="independent"`` opts out of all sharing and executes the
-    requests one by one, exactly like the θ-sweep engine's opt-out path
-    (independent runs emit no checkpoints, so ``resume_from`` is ignored).
+    θ-group's remaining grid points continue the interrupted pass from its
+    lowest-θ checkpoint when that checkpoint carries an RNG state, and
+    re-run cold otherwise — both bit-identical to the uninterrupted run.
+    Before running a θ-group the executor announces the indices about to
+    run via the observer's optional ``on_group`` hook, so
+    checkpoint-persisting observers can attribute the stream.
     """
-    validate_sweep_mode(sweep_mode)
     validate_error_policy(on_error)
     requests = list(requests)
     resume = dict(resume_from) if resume_from else {}
     if not requests:
         return []
-    if sweep_mode == "independent":
-        from repro.api.batch import execute_request
-
-        responses = []
-        for index, request in enumerate(requests):
-            notify_group(observer, (index,))
-            response = execute_request(request, registry=registry,
-                                       observer=observer, data_dir=data_dir)
-            if on_error == "fail_fast":
-                _abort_on_error([response])
-            responses.append(response)
-        return responses
     if cache is None:
         cache = ExecutionCache(data_dir=data_dir)
     try:
@@ -489,9 +567,8 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
                 continue
         notify_group(observer, tuple(todo))
         responses = execute_sweep_group(
-            group, sweep_mode=sweep_mode, registry=registry,
-            observer=observer, data_dir=data_dir, graph=graph,
-            initial_distances=initial_distances, baseline=baseline,
+            group, registry=registry, observer=observer, data_dir=data_dir,
+            graph=graph, initial_distances=initial_distances, baseline=baseline,
             resume_from=resume_checkpoint)
         if on_error == "fail_fast":
             _abort_on_error(responses)
@@ -503,35 +580,26 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
 def run_grid(grid: GridRequest, *,
              max_workers: Optional[int] = 0,
              registry: Optional[AnonymizerRegistry] = None,
-             data_dir: Optional[str] = None,
-             shared_memory: Optional[bool] = None) -> GridResponse:
+             data_dir: Optional[str] = None) -> GridResponse:
     """Group and execute a :class:`GridRequest`, responses in request order.
 
     ``max_workers=0`` (the default) runs the sample groups serially
-    in-process with one shared :class:`~repro.api.cache.ExecutionCache`
-    (the only mode that honours a custom ``registry``); any other value
-    fans the grid across a :class:`~repro.api.batch.BatchRunner` process
-    pool (``None`` = one worker per CPU).  On the default shared-memory
-    data plane (``shared_memory=None`` or ``True``) the pool fans out
-    *θ-sweep groups*: the parent loads each sample and runs each L_max
-    distance computation exactly once, publishes them to shared-memory
-    segments, and workers attach zero-copy views — so even a single-sample
-    grid parallelizes across all cores.  ``shared_memory=False`` falls
-    back to the PR-5 plane that fans whole *sample groups*, trading
-    θ-group parallelism for per-worker process-local caches.  Either way
-    responses are bit-identical to the serial path.
+    in-process with one shared :class:`~repro.api.cache.ExecutionCache`;
+    any other value fans the grid's *θ-sweep groups* across a
+    :class:`~repro.api.batch.BatchRunner` process pool (``None`` = one
+    worker per CPU) over the zero-copy shared-memory plane: the parent
+    loads each sample and runs each L_max distance computation exactly
+    once, and workers attach read-only views — so even a single-sample
+    grid parallelizes across all cores.  A custom ``registry`` keeps the
+    grid on the serial path.  Responses are bit-identical either way.
     """
     from repro.api.batch import BatchRunner
 
     stats = GridStats()
-    runner = BatchRunner(max_workers=max_workers, data_dir=data_dir,
-                         shared_memory=shared_memory)
+    runner = BatchRunner(max_workers=max_workers, data_dir=data_dir)
     responses = runner.run_grid(grid, registry=registry, stats=stats)
     return GridResponse(responses=tuple(responses),
-                        sweep_mode=grid.sweep_mode,
                         num_groups=len(grid.groups()),
                         num_sample_groups=len(grid.sample_groups()),
-                        num_sample_loads=(stats.sample_loads
-                                          if stats.tracked else None),
-                        num_distance_computes=(stats.distance_computes
-                                               if stats.tracked else None))
+                        num_sample_loads=stats.sample_loads,
+                        num_distance_computes=stats.distance_computes)

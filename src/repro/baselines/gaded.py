@@ -39,7 +39,6 @@ from repro.core.anonymizer import (
     AnonymizationStep,
     AnonymizerConfig,
     iter_batched_evaluations,
-    validate_sweep_mode,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
@@ -63,7 +62,6 @@ class _GadedBase:
                  strict: bool = False, evaluation_mode: str = "incremental",
                  scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
-                 sweep_mode: str = "checkpointed",
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
         if not 0.0 <= theta <= 1.0:
@@ -73,7 +71,6 @@ class _GadedBase:
                 f"scan_workers must be >= 0, got {scan_workers}")
         validate_evaluation_mode(evaluation_mode)
         validate_scan_mode(scan_mode)
-        validate_sweep_mode(sweep_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -86,7 +83,6 @@ class _GadedBase:
         self._evaluation_mode = evaluation_mode
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
-        self._sweep_mode = sweep_mode
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
 
@@ -113,20 +109,24 @@ class _GadedBase:
                            thetas: Optional[Sequence[float]] = None,
                            typing: Optional[PairTyping] = None,
                            observer: Optional[ProgressObserver] = None,
-                           initial_distances=None
-                           ) -> List[AnonymizationResult]:
+                           initial_distances=None,
+                           resume_from=None) -> List[AnonymizationResult]:
         """Run the heuristic for a θ grid, one result per grid point.
 
         θ shapes GADED's candidate pool (an edge participates in
         disclosure when its type's opacity exceeds θ), not merely the
         stopping rule, so a shared checkpointed pass would choose different
         edits than an independent run at each grid point.  The schedule
-        therefore executes one run per θ regardless of ``sweep_mode`` —
-        only the frozen typing and the caller's loaded graph are shared —
-        keeping every result bit-identical to its independent counterpart.
+        therefore executes one run per θ — only the frozen typing and the
+        caller's loaded graph are shared — keeping every result
+        bit-identical to its independent counterpart.  Having no shared
+        pass, GADED cannot continue one: given ``resume_from`` it runs the
+        requested θs cold (no seeded distances), with identical results.
         """
         schedule = validate_theta_schedule(
             thetas if thetas is not None else (self._theta,))
+        if resume_from is not None:
+            initial_distances = None
         if typing is None:
             typing = DegreePairTyping(graph)
         # Every per-θ run consumes its own session matrix, so the shared
@@ -151,7 +151,6 @@ class _GadedBase:
                                   evaluation_mode=self._evaluation_mode,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
-                                  sweep_mode=self._sweep_mode,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = OpacitySession(
@@ -239,8 +238,7 @@ class _GadedBase:
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
     accepts=("theta", "seed", "max_steps", "engine", "strict", "evaluation_mode",
-             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
-             "scale_budget_bytes"),
+             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadedRandAnonymizer(_GadedBase):
     """GADED-Rand: remove a random edge participating in disclosure."""
@@ -257,8 +255,7 @@ class GadedRandAnonymizer(_GadedBase):
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
     accepts=("theta", "seed", "max_steps", "engine", "strict", "evaluation_mode",
-             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
-             "scale_budget_bytes"),
+             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadedMaxAnonymizer(_GadedBase):
     """GADED-Max: remove the edge with the greatest reduction of the maximum

@@ -18,8 +18,6 @@ import random
 import time
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api.progress import NULL_OBSERVER, AnonymizationStopped, ProgressObserver
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import (
@@ -29,7 +27,6 @@ from repro.core.anonymizer import (
     ThetaScheduleTracker,
     iter_batched_evaluations,
     materialize_checkpoints,
-    validate_sweep_mode,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
@@ -51,8 +48,8 @@ Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
     accepts=("theta", "seed", "max_steps", "swap_sample_size", "engine",
-             "evaluation_mode", "scan_mode", "scan_workers", "sweep_mode",
-             "scale_tier", "scale_budget_bytes"),
+             "evaluation_mode", "scan_mode", "scan_workers", "scale_tier",
+             "scale_budget_bytes"),
 )
 class GadesAnonymizer:
     """GADES: greedy degree-preserving edge swapping against link disclosure.
@@ -69,10 +66,6 @@ class GadesAnonymizer:
         ``"incremental"`` delta-evaluates each candidate swap (an L = 1
         swap only flips the four edited cells); ``"scratch"`` recounts
         from scratch.  Both choose identical swaps.
-    sweep_mode:
-        How :meth:`anonymize_schedule` executes a θ grid: one checkpointed
-        pass (``"checkpointed"``, default) or one run per grid point
-        (``"independent"``).  Both produce identical per-θ results.
     """
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
@@ -80,7 +73,6 @@ class GadesAnonymizer:
                  engine: str = "numpy", evaluation_mode: str = "incremental",
                  scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
-                 sweep_mode: str = "checkpointed",
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
         if not 0.0 <= theta <= 1.0:
@@ -92,7 +84,6 @@ class GadesAnonymizer:
                 f"scan_workers must be >= 0, got {scan_workers}")
         validate_evaluation_mode(evaluation_mode)
         validate_scan_mode(scan_mode)
-        validate_sweep_mode(sweep_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -105,7 +96,6 @@ class GadesAnonymizer:
         self._evaluation_mode = evaluation_mode
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
-        self._sweep_mode = sweep_mode
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
 
@@ -132,38 +122,25 @@ class GadesAnonymizer:
                            thetas: Optional[Sequence[float]] = None,
                            typing: Optional[PairTyping] = None,
                            observer: Optional[ProgressObserver] = None,
-                           initial_distances=None
-                           ) -> List[AnonymizationResult]:
+                           initial_distances=None,
+                           resume_from=None) -> List[AnonymizationResult]:
         """Run GADES for a whole θ grid, one result per grid point.
 
         θ only gates the swap loop's termination (candidate swaps are
         scored against the current maximum, never θ), so the checkpointed
         single-pass execution returns per-θ results identical to
         independent runs — see :meth:`BaseAnonymizer.anonymize_schedule`
-        for the schedule semantics.
+        for the schedule semantics.  GADES cannot continue a pass from a
+        checkpoint: given ``resume_from`` it runs the requested θs cold
+        from ``graph`` (no seeded distances), which yields the same results
+        without the saved work.
         """
         schedule = validate_theta_schedule(
             thetas if thetas is not None else (self._theta,))
-        if self._sweep_mode == "independent" and len(schedule) > 1:
-            # Store payloads (tiled tier) have no cheap copy; each per-theta
-            # run recomputes its own deterministic session state instead.
-            return [self._with_theta(theta).anonymize(
-                        graph, typing=typing, observer=observer,
-                        initial_distances=(initial_distances.copy()
-                                           if isinstance(initial_distances, np.ndarray)
-                                           else None))
-                    for theta in schedule]
+        if resume_from is not None:
+            initial_distances = None
         return self._run_schedule(graph, schedule, typing, observer,
                                   initial_distances)
-
-    def _with_theta(self, theta: float) -> "GadesAnonymizer":
-        return GadesAnonymizer(
-            theta=theta, seed=self._seed, max_steps=self._max_steps,
-            swap_sample_size=self._swap_sample_size, engine=self._engine,
-            evaluation_mode=self._evaluation_mode, scan_mode=self._scan_mode,
-            scan_workers=self._scan_workers,
-            sweep_mode=self._sweep_mode, scale_tier=self._scale_tier,
-            scale_budget_bytes=self._scale_budget_bytes)
 
     def _run_schedule(self, graph: Graph, schedule: Sequence[float],
                       typing: Optional[PairTyping],
@@ -184,7 +161,6 @@ class GadesAnonymizer:
                                   evaluation_mode=self._evaluation_mode,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
-                                  sweep_mode=self._sweep_mode,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = OpacitySession(

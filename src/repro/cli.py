@@ -30,7 +30,6 @@ Examples
         --timeout 30 --progress
     repro-lopacity sweep --dataset gnutella --size 60 \
         --algorithms rem rem-ins --thetas 0.9 0.8 0.7 0.6 0.5
-    repro-lopacity sweep --dataset google --size 50 --sweep-mode independent
     repro-lopacity sweep --axis dataset=gnutella,google --axis l=1,2 \
         --thetas 0.9 0.7 0.5
     repro-lopacity batch jobs.json --max-workers 4 --output results.json
@@ -75,7 +74,6 @@ from repro.api import (
     anonymize as api_anonymize,
     available_algorithms,
 )
-from repro.core.anonymizer import SWEEP_MODES
 from repro.core.opacity_session import EVALUATION_MODES, SCAN_MODES
 from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
@@ -241,13 +239,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         length_thresholds=axes.get("length_threshold"),
         lookaheads=axes.get("lookahead"),
         seeds=axes.get("seed"),
-        thetas=axes.get("theta"),
-        sweep_mode=args.sweep_mode)
-    response = run_grid(request, max_workers=args.max_workers,
-                        shared_memory=args.shared_memory == "on")
+        thetas=axes.get("theta"))
+    response = run_grid(request, max_workers=args.max_workers)
     print(f"{len(request.requests)} runs in {response.num_groups} group(s) "
-          f"over {response.num_sample_groups} sample group(s), "
-          f"sweep_mode={response.sweep_mode}")
+          f"over {response.num_sample_groups} sample group(s)")
     for entry in response.responses:
         print(entry.summary())
     if args.output:
@@ -321,7 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = RunStore(args.db)
     manager = JobManager(store, data_dir=args.data_dir,
                          max_workers=args.max_workers,
-                         shared_memory=args.shared_memory == "on",
                          scale_tier=args.scale_tier,
                          scale_budget_bytes=(args.scale_budget_mb * 1024 * 1024
                                              if args.scale_budget_mb is not None
@@ -376,22 +370,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "fig6":
         series = figure6_series(args.dataset, length_threshold=args.length,
                                 sample_size=args.size, thetas=thetas,
-                                sweep_mode=args.sweep_mode, runner=runner)
+                                runner=runner)
         emit(series, "theta", "distortion", f"Figure 6 — {args.dataset}, L={args.length}")
     elif args.name == "fig7":
         both = figure7_series(args.dataset, sample_size=args.size, thetas=thetas,
-                              sweep_mode=args.sweep_mode, runner=runner)
+                              runner=runner)
         for metric, series in both.items():
             print(f"== {metric} ==")
             emit(series, "theta", metric, f"Figure 7 — {args.dataset}")
     elif args.name == "fig8":
         series = figure8_series(args.dataset, length_threshold=args.length,
                                 sample_size=args.size, thetas=thetas,
-                                sweep_mode=args.sweep_mode, runner=runner)
+                                runner=runner)
         emit(series, "theta", "mean_cc_diff", f"Figure 8 — {args.dataset}, L={args.length}")
     elif args.name == "fig10":
-        series = figure10_series(args.dataset, theta=args.theta,
-                                 sweep_mode=args.sweep_mode, runner=runner)
+        series = figure10_series(args.dataset, theta=args.theta, runner=runner)
         emit(series, "size", "runtime_s", f"Figure 10 — {args.dataset}")
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
@@ -465,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the corresponding flag")
     sweep.add_argument("--length", "-L", type=int, default=1)
     sweep.add_argument("--lookahead", type=int, default=1)
-    sweep.add_argument("--sweep-mode", choices=SWEEP_MODES,
-                       default="checkpointed", dest="sweep_mode",
-                       help="checkpointed: one anonymization pass per "
-                            "(algorithm, L, lookahead, seed) group with per-θ "
-                            "checkpoints; independent: one run per grid point; "
-                            "both produce identical results")
     sweep.add_argument("--evaluation-mode", choices=EVALUATION_MODES,
                        default="incremental", dest="evaluation_mode")
     sweep.add_argument("--scan-mode", choices=SCAN_MODES,
@@ -483,16 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--no-utility", action="store_true",
                        help="skip the per-θ utility metrics")
     sweep.add_argument("--max-workers", type=int, default=0,
-                       help="worker processes for the groups "
+                       help="worker processes for the θ-sweep groups, which "
+                            "attach the parent's shared-memory copy of each "
+                            "sample and L_max distance matrix "
                             "(0 = run in-process)")
-    sweep.add_argument("--shared-memory", choices=("on", "off"), default="on",
-                       dest="shared_memory",
-                       help="zero-copy shared-memory data plane for pooled "
-                            "grids: the parent loads each sample and runs "
-                            "each L_max distance computation once, workers "
-                            "attach read-only views and fan out per θ-sweep "
-                            "group (default: on; 'off' fans whole sample "
-                            "groups instead; ignored with --max-workers 0)")
     sweep.add_argument("--scale-tier", choices=SCALE_TIERS, default="auto",
                        dest="scale_tier",
                        help="distance-plane scale tier: dense keeps the full "
@@ -534,11 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "checkpoint streaming and per-θ resume "
                             "(default); n/–1 = fan jobs across a process "
                             "pool (resume at group granularity only)")
-    serve.add_argument("--shared-memory", choices=("on", "off"), default="on",
-                       dest="shared_memory",
-                       help="zero-copy shared-memory data plane for pooled "
-                            "job execution (default: on; ignored with "
-                            "--max-workers 0)")
     serve.add_argument("--scale-tier", choices=SCALE_TIERS, default="auto",
                        dest="scale_tier",
                        help="default distance-plane scale tier applied to "
@@ -572,10 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--length", "-L", type=int, default=1)
     figure.add_argument("--theta", type=float, default=0.5)
     figure.add_argument("--thetas", type=float, nargs="*")
-    figure.add_argument("--sweep-mode", choices=SWEEP_MODES,
-                        default="checkpointed", dest="sweep_mode",
-                        help="execute each θ series as one checkpointed pass "
-                             "(default) or as independent per-θ runs")
     figure.add_argument("--chart", action="store_true",
                         help="render an ASCII chart instead of the numeric series")
     figure.set_defaults(func=_cmd_figure)

@@ -27,7 +27,6 @@ from repro.core.opacity_session import (
     OpacitySession,
 )
 from repro.core.anonymizer import (
-    SWEEP_MODES,
     AnonymizationCheckpoint,
     AnonymizationResult,
     AnonymizationStep,
@@ -59,7 +58,6 @@ __all__ = [
     "SCAN_MODES",
     "EditEvaluation",
     "OpacitySession",
-    "SWEEP_MODES",
     "AnonymizationCheckpoint",
     "AnonymizationResult",
     "AnonymizationStep",

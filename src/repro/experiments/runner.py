@@ -13,12 +13,12 @@ third-party — can appear in an experiment grid.
 configuration — as a *single* checkpointed anonymization pass
 (DESIGN.md §9), producing per-θ records identical to independent
 :meth:`ExperimentRunner.run` calls.  :meth:`ExperimentRunner.run_grid`
-executes *many* plans as one grid job (DESIGN.md §10): plans sharing a
-sample additionally share one L_max bounded-distance computation (smaller
-L matrices are thresholded slices, so an L sweep costs one engine run),
-and ``max_workers`` fans the grid's sample groups across worker processes
-via :class:`repro.api.BatchRunner`; ``run_all(..., max_workers=...)``
-does the same for an explicit configuration list.
+executes *many* plans as one grid job: plans sharing a sample
+additionally share one L_max bounded-distance computation (smaller L
+matrices are thresholded slices, so an L sweep costs one engine run),
+and ``max_workers`` hands the grid to :class:`repro.api.BatchRunner`;
+``run_all(..., max_workers=...)`` does the same for an explicit
+configuration list.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def request_for(config: ExperimentConfig) -> AnonymizationRequest:
         engine=config.engine,
         max_steps=config.max_steps,
         insertion_candidate_cap=config.insertion_candidate_cap,
-        sweep_mode=config.sweep_mode,
         include_utility=True,
     )
 
@@ -154,31 +153,23 @@ class ExperimentRunner:
                   initial_distances: Optional[np.ndarray] = None) -> List[RunRecord]:
         """Execute a θ-sweep plan and return one record per grid point.
 
-        With ``plan.sweep_mode == "checkpointed"`` the whole grid runs as
-        one anonymization pass (per-θ checkpoints); the records are
-        identical to independent :meth:`run` calls per θ except for
-        ``runtime_seconds``, which reports the elapsed time of the shared
-        pass when the grid point was crossed.  Records come back in the
+        The whole grid runs as one anonymization pass (per-θ
+        checkpoints); the records are identical to independent
+        :meth:`run` calls per θ except for ``runtime_seconds``, which
+        reports the elapsed time of the shared pass when the grid point
+        was crossed.  Records come back in the
         plan's θ order.  ``initial_distances`` may seed the pass with the
         plan's precomputed L-bounded matrix (a
         :class:`~repro.graph.distance_cache.LMaxDistanceCache` slice, as
         :meth:`run_grid` supplies); the pass consumes the array.
         """
-        from repro.api.theta_sweep import accepts_initial_distances
-
         configs = plan.configs()
         algorithm = self._create(configs[0])
         if not hasattr(algorithm, "anonymize_schedule"):
             return [self.run(config) for config in configs]
         graph = self.graph_for(configs[0])
-        kwargs = {}
-        if initial_distances is not None and \
-                accepts_initial_distances(algorithm.anonymize_schedule):
-            # Same guard as the api layer: a registry-replaced algorithm
-            # with the pre-grid schedule signature runs cold instead of
-            # crashing on the unexpected keyword.
-            kwargs["initial_distances"] = initial_distances
-        results = algorithm.anonymize_schedule(graph, plan.thetas, **kwargs)
+        results = algorithm.anonymize_schedule(
+            graph, plan.thetas, initial_distances=initial_distances)
         by_theta = {result.config.theta: result for result in results}
         return [self._record(config, by_theta[float(config.theta)],
                              runtime_seconds=None)
@@ -192,32 +183,23 @@ class ExperimentRunner:
         sample (dataset/size/seed): the sample comes from the runner's
         cache, and **one** bounded-distance computation at the group's
         maximum L seeds every plan's checkpointed pass (smaller-L matrices
-        are thresholded slices — DESIGN.md §10), so an L sweep over one
-        sample costs a single engine run.  Any other ``max_workers`` fans
-        the grid's sample groups across a
-        :class:`repro.api.BatchRunner` process pool (``None`` = one worker
-        per CPU), where each worker holds the same caches process-locally.
-        Records are identical to per-plan :meth:`run_sweep` calls either
-        way; lists come back in plan order.
+        are thresholded slices — DESIGN.md §9), so an L sweep over one
+        sample costs a single engine run.  Any other ``max_workers`` runs
+        the grid through :meth:`repro.api.BatchRunner.run_grid`, fanning
+        its θ-sweep groups over the shared-memory plane (``None`` = one
+        worker per CPU).  Records are identical to per-plan
+        :meth:`run_sweep` calls either way; lists come back in plan order.
         """
         plans = list(plans)
         if max_workers != 0:
-            # Partition by sweep_mode so a plan's explicit opt-out survives
-            # the fan-out (a GridRequest carries one mode for all requests).
-            ordered_parallel: List[Optional[List[RunRecord]]] = [None] * len(plans)
-            by_mode: Dict[str, List[int]] = {}
-            for index, plan in enumerate(plans):
-                by_mode.setdefault(plan.sweep_mode, []).append(index)
-            for indices in by_mode.values():
-                configs = [config for index in indices
-                           for config in plans[index].configs()]
-                records = self.run_all(configs, max_workers=max_workers)
-                cursor = 0
-                for index in indices:
-                    count = len(plans[index].thetas)
-                    ordered_parallel[index] = records[cursor:cursor + count]
-                    cursor += count
-            return ordered_parallel  # type: ignore[return-value]
+            records = self.run_all([config for plan in plans
+                                    for config in plan.configs()],
+                                   max_workers=max_workers)
+            ordered_parallel: List[List[RunRecord]] = []
+            for plan in plans:
+                ordered_parallel.append(records[:len(plan.thetas)])
+                records = records[len(plan.thetas):]
+            return ordered_parallel
         ordered: List[Optional[List[RunRecord]]] = [None] * len(plans)
         groups: Dict[Tuple[str, int, int], List[int]] = {}
         for index, plan in enumerate(plans):
@@ -225,21 +207,13 @@ class ExperimentRunner:
                               []).append(index)
         for indices in groups.values():
             group = [plans[index] for index in indices]
-            # The shared computation bound, per engine, over the plans that
-            # will consume a matrix (independent-mode plans run cold and
-            # must not inflate the single engine run).
             l_max_by_engine: Dict[str, int] = {}
             for plan in group:
-                if plan.sweep_mode != "independent":
-                    l_max_by_engine[plan.engine] = max(
-                        l_max_by_engine.get(plan.engine, 0),
-                        plan.length_threshold)
+                l_max_by_engine[plan.engine] = max(
+                    l_max_by_engine.get(plan.engine, 0),
+                    plan.length_threshold)
             caches: Dict[str, LMaxDistanceCache] = {}
             for index, plan in zip(indices, group):
-                if plan.sweep_mode == "independent":
-                    # The opt-out path keeps per-θ cold runs end to end.
-                    ordered[index] = self.run_sweep(plan)
-                    continue
                 cache = caches.get(plan.engine)
                 if cache is None:
                     cache = LMaxDistanceCache(self.graph_for(plan.configs()[0]),
@@ -255,11 +229,10 @@ class ExperimentRunner:
         """Execute every configuration and return the records in order.
 
         Configurations identical in everything but θ form θ-sweep groups
-        executed as checkpointed passes (unless their ``sweep_mode`` is
-        ``"independent"``), so a grid sweeping k thresholds costs ~1 run
-        per group instead of k.  ``max_workers=0`` (the default) runs the
-        groups serially in this process; any other value fans the grid's
-        *sample groups* over a :class:`repro.api.BatchRunner` process pool
+        executed as checkpointed passes, so a grid sweeping k thresholds
+        costs ~1 run per group instead of k.  ``max_workers=0`` (the
+        default) runs the groups serially in this process; any other value
+        runs the grid through :meth:`repro.api.BatchRunner.run_grid`
         (``None`` = one worker per CPU), so groups sharing a sample also
         share one loaded graph and one L_max distance computation.  A
         failure in any configuration raises either way.
@@ -271,8 +244,7 @@ class ExperimentRunner:
         from repro.api.sweeps import GridRequest
 
         grid = GridRequest(
-            requests=tuple(request_for(config) for config in configs),
-            sweep_mode=configs[0].sweep_mode)
+            requests=tuple(request_for(config) for config in configs))
         runner = BatchRunner(max_workers=max_workers, data_dir=self._data_dir)
         responses = runner.run_grid(grid)
         records = []
@@ -306,7 +278,7 @@ class ExperimentRunner:
             groups.setdefault(replace(config, theta=0.0), []).append(index)
         for indices in groups.values():
             group = [configs[index] for index in indices]
-            if len(group) == 1 or group[0].sweep_mode == "independent":
+            if len(group) == 1:
                 for index in indices:
                     records[index] = self.run(configs[index])
                 continue
@@ -326,7 +298,6 @@ class ExperimentRunner:
             engine=config.engine,
             max_steps=config.max_steps,
             insertion_candidate_cap=config.insertion_candidate_cap,
-            sweep_mode=config.sweep_mode,
         )
 
     def _record(self, config: ExperimentConfig, result: AnonymizationResult,

@@ -8,13 +8,13 @@ L_max-bounded one — every cell holding a distance ``d <= L`` is the exact
 geodesic distance (both truncations agree on it), and every other cell is
 the unreachable sentinel by definition.  Truncating the L_max matrix at L
 therefore reproduces ``bounded_distance_matrix(graph, L)`` bit for bit,
-without running the engine again (DESIGN.md §10).
+without running the engine again (DESIGN.md §9).
 
 :func:`threshold_distances` performs that truncation;
 :class:`LMaxDistanceCache` wraps it in a compute-once cache so an L-sweep
 group pays for exactly one full distance computation at the group's maximum
 L and derives every smaller-L matrix from it.  The cache is tier-aware
-(DESIGN.md §13): under :class:`~repro.graph.distance_store.StoreConfig`
+(DESIGN.md §11): under :class:`~repro.graph.distance_store.StoreConfig`
 resolution it serves either dense matrices/:class:`DenseStore` wrappers or
 per-L :class:`TiledStore` children of one shared L_max tiled base — the
 same one-computation economics without ever materializing ``n × n``.
@@ -98,7 +98,7 @@ class LMaxDistanceCache:
         Optional fixed spill-file path for the tiled tier's shared L_max
         base.  When given, the base store persists its warm tiles (and a
         sidecar index) at this path and re-adopts them on the next run —
-        the cross-θ-group tile reuse of a resumed job (DESIGN.md §14).
+        the cross-θ-group tile reuse of a resumed job (DESIGN.md §12).
     """
 
     def __init__(self, graph: Graph, l_max: int,

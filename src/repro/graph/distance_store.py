@@ -22,7 +22,7 @@ matrix in bounded chunks.  Two implementations cover the scale tiers:
 layers; ``auto`` picks dense exactly when ``n² × itemsize`` fits the
 budget, and an explicit ``dense`` request over budget raises
 :class:`~repro.errors.DistanceMemoryError` up front instead of dying on
-an opaque ``MemoryError`` mid-run (DESIGN.md §13).
+an opaque ``MemoryError`` mid-run (DESIGN.md §11).
 """
 
 from __future__ import annotations

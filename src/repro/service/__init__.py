@@ -2,7 +2,7 @@
 
 The batch/grid engine (:mod:`repro.api`) executes work in-process and
 forgets it on exit.  This package is the durable front door (DESIGN.md
-§11):
+§10):
 
 * :mod:`repro.service.store` — :class:`RunStore`, one SQLite file holding
   jobs (request JSON + canonical fingerprint + status), streamed per-θ

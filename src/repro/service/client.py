@@ -18,21 +18,19 @@ from typing import Any, Dict, Optional
 
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
 from repro.api.sweeps import GridRequest, GridResponse
-from repro.api.theta_sweep import SweepRequest, SweepResponse
 from repro.errors import ReproError
+from repro.service.jobs import upgrade_stored
 
 __all__ = ["ServiceClient", "ServiceError"]
 
 #: Request record type -> job kind, mirrored by the response parsers.
 _KIND_OF = {
     AnonymizationRequest: "anonymize",
-    SweepRequest: "sweep",
     GridRequest: "grid",
 }
 
 _RESPONSE_OF = {
     "anonymize": AnonymizationResponse,
-    "sweep": SweepResponse,
     "grid": GridResponse,
 }
 
@@ -101,12 +99,16 @@ class ServiceClient:
         return self._call("GET", f"/jobs/{job_id}")
 
     def result(self, job_id: str, parse: bool = True) -> Any:
-        """``GET /jobs/{id}/result`` — parsed into the response record."""
+        """``GET /jobs/{id}/result`` — parsed into the response record.
+
+        The service serves stored results verbatim, so a job stored by an
+        older release is upgraded to the current schema before parsing.
+        """
         answer = self._call("GET", f"/jobs/{job_id}/result")
         if not parse:
             return answer
-        record = _RESPONSE_OF[answer["kind"]]
-        return record.from_dict(answer["result"])
+        kind, result = upgrade_stored(answer["kind"], answer["result"])
+        return _RESPONSE_OF[kind].from_dict(result)
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``DELETE /jobs/{id}``."""

@@ -22,7 +22,9 @@ GET       ``/healthz``             Liveness probe.
 
 Malformed JSON, unknown job kinds, and invalid request payloads
 (:class:`~repro.errors.ReproError`) all map to HTTP 400 with
-``{"error": ...}`` — one bad client never takes the server down.  The
+``{"error": ...}`` — one bad client never takes the server down — and any
+other failure while handling a ``POST`` (a store error, say) answers 500
+with the same shape instead of dropping the connection.  The
 server is a ``ThreadingHTTPServer`` (one thread per connection, daemon
 threads); all state lives in the shared :class:`~repro.service.jobs.JobManager`
 / :class:`~repro.service.store.RunStore` pair, which are thread-safe.
@@ -31,6 +33,7 @@ threads); all state lives in the shared :class:`~repro.service.jobs.JobManager`
 from __future__ import annotations
 
 import json
+import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
@@ -41,6 +44,8 @@ from repro.service.store import RunStore
 __all__ = ["create_server", "make_handler"]
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd request bodies outright
+
+_LOG = logging.getLogger(__name__)
 
 
 def make_handler(manager: JobManager, store: RunStore) -> type:
@@ -155,6 +160,9 @@ def make_handler(manager: JobManager, store: RunStore) -> type:
             except (ReproError, ValueError, KeyError, TypeError,
                     json.JSONDecodeError) as exc:
                 self._send(400, {"error": f"{type(exc).__name__}: {exc}"})
+            except Exception as exc:  # noqa: BLE001 — answer, never drop
+                _LOG.exception("POST %s failed", self.path)
+                self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
         def do_DELETE(self) -> None:  # noqa: N802 — http.server API
             collection, item, action = self._route()

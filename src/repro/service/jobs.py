@@ -2,9 +2,9 @@
 
 A :class:`JobManager` owns one worker thread and one
 :class:`~repro.service.store.RunStore`.  Submitted jobs — single
-:class:`~repro.api.requests.AnonymizationRequest` records,
-:class:`~repro.api.theta_sweep.SweepRequest` sweeps, or
-:class:`~repro.api.sweeps.GridRequest` grids — are persisted first and
+:class:`~repro.api.requests.AnonymizationRequest` records or
+:class:`~repro.api.sweeps.GridRequest` grids (a θ sweep is a grid with
+one axis) — are persisted first and
 executed in submission order on the existing grid engine
 (:func:`~repro.api.sweeps.execute_sample_group`, the unit
 :class:`~repro.api.batch.BatchRunner` fans out).  While a sample group
@@ -15,11 +15,13 @@ process left ``queued``/``running``, and :meth:`_execute` serves finished
 requests from their stored responses, materializes already-crossed grid
 points from their checkpoints, and *continues* each interrupted
 checkpointed pass from its lowest-θ checkpoint — bit-identical to the
-uninterrupted run (DESIGN.md §11).
+uninterrupted run (DESIGN.md §10).
 
 Dedup rides on the canonical fingerprint: re-submitting a semantically
 identical request returns the finished (or in-flight) job instead of
-recomputing anything.
+recomputing anything.  Rows written before sweeps became grids (job kind
+``"sweep"``, requests carrying ``sweep_mode``) still load: every read of
+stored request or response JSON goes through :func:`upgrade_stored`.
 """
 
 from __future__ import annotations
@@ -46,16 +48,15 @@ from repro.api.requests import (
     request_fingerprint,
 )
 from repro.api.sweeps import GridRequest, GridResponse, sample_groups
-from repro.api.theta_sweep import SweepRequest, SweepResponse
 from repro.errors import ConfigurationError, ReproError
 from repro.service.store import RunStore
 
-__all__ = ["JOB_KINDS", "JobManager", "parse_request", "wrap_result"]
+__all__ = ["JOB_KINDS", "JobManager", "parse_request", "upgrade_stored",
+           "wrap_result"]
 
 #: Submittable job kinds and their request record types.
 JOB_KINDS: Dict[str, type] = {
     "anonymize": AnonymizationRequest,
-    "sweep": SweepRequest,
     "grid": GridRequest,
 }
 
@@ -74,6 +75,26 @@ def parse_request(kind: str, payload: Any) -> Any:
     return record.from_dict(payload)
 
 
+def upgrade_stored(kind: str, payload: Any) -> Tuple[str, Any]:
+    """Map a stored job kind and JSON payload onto the current schema.
+
+    Rows persisted before θ sweeps became one-axis grids carry kind
+    ``"sweep"`` and a ``sweep_mode`` key in every request, response and
+    sweep record; this maps the kind to ``"grid"`` and drops those keys,
+    so the strict ``from_dict`` parsers accept the row.  Current rows
+    pass through unchanged.
+    """
+    def strip(value: Any) -> Any:
+        if isinstance(value, dict):
+            return {key: strip(item) for key, item in value.items()
+                    if key != "sweep_mode"}
+        if isinstance(value, list):
+            return [strip(item) for item in value]
+        return value
+
+    return ("grid" if kind == "sweep" else kind), strip(payload)
+
+
 def _requests_of(kind: str, request: Any) -> List[AnonymizationRequest]:
     """Flatten any job kind into its ordered request list."""
     if kind == "anonymize":
@@ -86,12 +107,7 @@ def wrap_result(kind: str, request: Any,
     """Wrap per-request responses into the job kind's response record."""
     if kind == "anonymize":
         return responses[0]
-    if kind == "sweep":
-        return SweepResponse(responses=tuple(responses),
-                             sweep_mode=request.sweep_mode,
-                             num_groups=len(request.groups()))
     return GridResponse(responses=tuple(responses),
-                        sweep_mode=request.sweep_mode,
                         num_groups=len(request.groups()),
                         num_sample_groups=len(request.sample_groups()))
 
@@ -144,13 +160,9 @@ class JobManager:
         :class:`~repro.api.batch.BatchRunner` process pool instead;
         responses are still persisted per request, but checkpoints do not
         stream across process boundaries, so interrupted pooled jobs
-        restart from their last finished *group* rather than θ.
-    shared_memory:
-        Forwarded to the :class:`~repro.api.batch.BatchRunner` of pooled
-        grid jobs — ``None``/``True`` executes grids on the zero-copy
-        shared-memory data plane (θ-sweep groups fan out over
-        parent-published arenas), ``False`` falls back to the
-        sample-group fan-out.  Irrelevant with ``max_workers=0``.
+        restart from their last finished *group* rather than θ.  Pooled
+        grids run on the zero-copy shared-memory plane (θ-sweep groups
+        fan out over parent-published arenas).
     scale_tier:
         Service-wide default of the distance-plane scale tier (the
         ``--scale-tier`` flag of ``repro-lopacity serve``).  Applied at
@@ -171,7 +183,6 @@ class JobManager:
 
     def __init__(self, store: RunStore, *, data_dir: Optional[str] = None,
                  max_workers: int = 0,
-                 shared_memory: Optional[bool] = None,
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None,
                  scan_workers: Optional[int] = None) -> None:
@@ -184,7 +195,6 @@ class JobManager:
         self._store = store
         self._data_dir = data_dir
         self._max_workers = max_workers
-        self._shared_memory = shared_memory
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
         self._scan_workers = scan_workers
@@ -333,17 +343,18 @@ class JobManager:
         from repro.api.sweeps import execute_sample_group
 
         job_id = job["id"]
-        kind = job["kind"]
-        request = parse_request(kind, json.loads(job["request_json"]))
-        request = self._apply_scale_defaults(kind, request)
+        kind, payload = upgrade_stored(job["kind"],
+                                       json.loads(job["request_json"]))
+        request = self._apply_scale_defaults(kind,
+                                             parse_request(kind, payload))
         self._store.set_status(job_id, "running")
         requests = _requests_of(kind, request)
-        sweep_mode = getattr(request, "sweep_mode", requests[0].sweep_mode)
         on_error = getattr(request, "on_error", "isolate")
         if self._max_workers != 0:
             self._execute_pooled(job_id, kind, request, requests, token)
             return
-        stored = {index: AnonymizationResponse.from_json(text)
+        stored = {index: AnonymizationResponse.from_dict(
+                      upgrade_stored(kind, json.loads(text))[1])
                   for index, text in self._store.responses(job_id).items()}
         checkpoints = {index: checkpoint_from_json(text)
                        for index, text
@@ -370,7 +381,7 @@ class JobManager:
             observer = combine_observers(token,
                                          CheckpointBuffer(sink=persister))
             responses = execute_sample_group(
-                group, sweep_mode=sweep_mode, observer=observer,
+                group, observer=observer,
                 data_dir=self._data_dir, cache=cache,
                 resume_from=resume_local, on_error=on_error)
             cache.release(group[0])
@@ -450,13 +461,10 @@ class JobManager:
         from repro.api.batch import BatchRunner
 
         runner = BatchRunner(max_workers=self._max_workers,
-                             data_dir=self._data_dir,
-                             shared_memory=self._shared_memory)
+                             data_dir=self._data_dir)
         stats = None
         if kind == "anonymize":
             responses = runner.run(requests)
-        elif kind == "sweep":
-            responses = runner.run_sweep(request)
         else:
             from repro.api.cache import GridStats
 
@@ -468,7 +476,7 @@ class JobManager:
         for index, response in enumerate(responses):
             self._store.record_response(job_id, index, response.to_json())
         result = wrap_result(kind, request, list(responses))
-        if stats is not None and stats.tracked:
+        if stats is not None:
             result = dataclasses.replace(
                 result, num_sample_loads=stats.sample_loads,
                 num_distance_computes=stats.distance_computes)

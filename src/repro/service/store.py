@@ -1,6 +1,6 @@
 """The persistent run store: one SQLite file per service instance.
 
-Durability model (DESIGN.md §11): every submitted job is written to the
+Durability model (DESIGN.md §10): every submitted job is written to the
 ``jobs`` table *before* it executes — request JSON, canonical fingerprint
 (:func:`~repro.api.requests.request_fingerprint`), status, timestamps.
 While a grid runs, the job manager streams each crossed θ checkpoint into

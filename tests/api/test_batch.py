@@ -80,8 +80,21 @@ class TestBatchRunnerProcessPool:
         assert len(responses) == 1 and responses[0].ok
 
 
-class TestWorkerGroupPayloadCache:
-    def test_group_payload_serves_all_artifacts_from_worker_cache(self, monkeypatch):
+class TestWorkerShmGroupPayload:
+    """A pool worker serves θ-groups from the parent's arena, doing no work
+    of its own: no sample load, no distance computation."""
+
+    @staticmethod
+    def _publish(request, l_max):
+        from repro.api.cache import ExecutionCache
+        from repro.api.shm import SharedSampleArena
+
+        parent = ExecutionCache()
+        return SharedSampleArena.publish(
+            parent.graph_for(request),
+            {request.engine: (parent.base_matrix_for(request, l_max), l_max)})
+
+    def test_group_payload_serves_all_artifacts_from_the_arena(self, monkeypatch):
         import repro.api.batch as batch_module
         from repro.api import AnonymizationRequest, AnonymizationResponse, anonymize
         from repro.api.cache import ExecutionCache
@@ -90,23 +103,27 @@ class TestWorkerGroupPayloadCache:
         monkeypatch.setattr(batch_module, "_WORKER_CACHE", cache)
         base = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                                     include_utility=True)
-        for algorithm in ("rem", "gaded-max"):
-            payloads = [base.with_overrides(algorithm=algorithm,
-                                            theta=theta).to_dict()
-                        for theta in (0.8, 0.6)]
-            results = batch_module._execute_group_payload(payloads,
-                                                          "checkpointed", None)
-            for payload, result in zip(payloads, results):
-                response = AnonymizationResponse.from_dict(result)
-                reference = anonymize(AnonymizationRequest.from_dict(payload))
-                assert response.anonymized_edges == reference.anonymized_edges
-                assert response.evaluations == reference.evaluations
-                assert response.metrics == reference.metrics
-        # Both groups shared one load, one baseline, one distance matrix.
-        assert cache.sample_loads == 1
-        assert cache.distance_computes == 1
+        arena = self._publish(base, 1)
+        try:
+            for algorithm in ("rem", "gaded-max"):
+                payloads = [base.with_overrides(algorithm=algorithm,
+                                                theta=theta).to_dict()
+                            for theta in (0.8, 0.6)]
+                result = batch_module._execute_shm_group_payload(
+                    payloads, None, arena.descriptor)
+                assert result["stats"] == (0, 0)
+                for payload, entry in zip(payloads, result["responses"]):
+                    response = AnonymizationResponse.from_dict(entry)
+                    reference = anonymize(AnonymizationRequest.from_dict(payload))
+                    assert response.anonymized_edges == reference.anonymized_edges
+                    assert response.evaluations == reference.evaluations
+                    assert response.metrics == reference.metrics
+        finally:
+            arena.unlink()
+        assert cache.sample_loads == 0
+        assert cache.distance_computes == 0
 
-    def test_l_max_hint_shares_one_computation_across_l_groups(self, monkeypatch):
+    def test_one_l_max_matrix_serves_every_l_group(self, monkeypatch):
         import repro.api.batch as batch_module
         from repro.api import AnonymizationRequest
         from repro.api.cache import ExecutionCache
@@ -114,11 +131,17 @@ class TestWorkerGroupPayloadCache:
         cache = ExecutionCache()
         monkeypatch.setattr(batch_module, "_WORKER_CACHE", cache)
         base = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0)
-        for length in (1, 2):
-            payloads = [base.with_overrides(length_threshold=length,
-                                            theta=theta).to_dict()
-                        for theta in (0.8, 0.6)]
-            batch_module._execute_group_payload(payloads, "checkpointed",
-                                                None, 2)
-        assert cache.sample_loads == 1
-        assert cache.distance_computes == 1
+        arena = self._publish(base, 2)
+        try:
+            for length in (1, 2):
+                payloads = [base.with_overrides(length_threshold=length,
+                                                theta=theta).to_dict()
+                            for theta in (0.8, 0.6)]
+                result = batch_module._execute_shm_group_payload(
+                    payloads, None, arena.descriptor)
+                assert all(entry["error"] is None
+                           for entry in result["responses"])
+        finally:
+            arena.unlink()
+        assert cache.sample_loads == 0
+        assert cache.distance_computes == 0

@@ -70,14 +70,15 @@ class TestExpansion:
         with pytest.raises(ConfigurationError):
             GridRequest(requests=())
 
-    def test_unknown_sweep_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridRequest(requests=(BASE,), sweep_mode="sideways")
+    def test_from_dict_rejects_retired_sweep_mode(self):
+        payload = GridRequest(requests=(BASE,)).to_dict()
+        payload["sweep_mode"] = "checkpointed"
+        with pytest.raises(ConfigurationError, match="grid field"):
+            GridRequest.from_dict(payload)
 
     def test_json_round_trip(self):
         grid = GridRequest.from_axes(BASE, datasets=("gnutella", "google"),
-                                     length_thresholds=(1, 2), thetas=THETAS,
-                                     sweep_mode="independent")
+                                     length_thresholds=(1, 2), thetas=THETAS)
         assert GridRequest.from_json(grid.to_json()) == grid
 
     def test_response_json_round_trip(self):
@@ -209,13 +210,6 @@ class TestExecution:
         for request, response in zip(grid.requests, pooled):
             assert_response_parity(response, anonymize(request))
 
-    def test_independent_mode_skips_grouping(self):
-        grid = GridRequest.from_axes(BASE, thetas=(0.8, 0.6),
-                                     sweep_mode="independent")
-        responses = run_grid(grid).responses
-        for request, response in zip(grid.requests, responses):
-            assert_response_parity(response, anonymize(request))
-
 
 class TestFacadeAxes:
     def test_sweep_accepts_dataset_and_size_axes(self):
@@ -227,13 +221,11 @@ class TestFacadeAxes:
         for entry in responses:
             assert entry.ok
 
-    def test_sweep_matches_independent_mode(self):
+    def test_sweep_matches_per_request_anonymize(self):
         checkpointed = sweep(BASE, sample_sizes=(25,), length_thresholds=(1, 2),
                              thetas=THETAS)
-        independent = sweep(BASE, sample_sizes=(25,), length_thresholds=(1, 2),
-                            thetas=THETAS, sweep_mode="independent")
-        for ours, theirs in zip(checkpointed, independent):
-            assert_response_parity(ours, theirs)
+        for ours in checkpointed:
+            assert_response_parity(ours, anonymize(ours.request))
 
 
 class TestExecutionCache:
@@ -297,7 +289,9 @@ class TestExecutionCache:
 
 
 class TestCustomRegistry:
-    def test_independent_serial_grid_honours_custom_registry(self):
+    def test_grid_honours_custom_registry_serially(self):
+        # Workers only know the default registry, so a custom one keeps
+        # even a pooled runner on the serial path.
         from repro.api import AnonymizerRegistry, BatchRunner
         from repro.core import EdgeRemovalAnonymizer
 
@@ -305,15 +299,16 @@ class TestCustomRegistry:
         registry.register("custom-rem", EdgeRemovalAnonymizer,
                           accepts=("theta", "length_threshold", "lookahead",
                                    "seed", "engine", "evaluation_mode",
-                                   "scan_mode", "sweep_mode", "max_steps"))
+                                   "scan_mode", "max_steps"))
         requests = [BASE.with_overrides(algorithm="custom-rem", theta=theta,
+                                        length_threshold=length,
                                         include_utility=False)
-                    for theta in (0.8, 0.6)]
-        for sweep_mode in ("checkpointed", "independent"):
-            grid = GridRequest(requests=tuple(requests), sweep_mode=sweep_mode)
-            responses = BatchRunner(max_workers=0).run_grid(grid,
-                                                            registry=registry)
-            assert all(response.ok for response in responses), sweep_mode
+                    for length in (1, 2) for theta in (0.8, 0.6)]
+        grid = GridRequest(requests=tuple(requests))
+        for max_workers in (0, 2):
+            responses = BatchRunner(max_workers=max_workers).run_grid(
+                grid, registry=registry)
+            assert all(response.ok for response in responses), max_workers
 
 
 class TestBaselineFailureIsolation:
@@ -416,14 +411,15 @@ class TestErrorPolicy:
         with pytest.raises(GridAbortedError):
             run_grid(grid)
 
-    def test_independent_mode_fail_fast(self):
+    def test_single_group_pooled_grid_fail_fast(self):
+        # One θ-group runs on the serial path even with a pool requested.
         from repro.errors import GridAbortedError
 
         grid = GridRequest(requests=(
             BASE.with_overrides(algorithm="no-such-algo", theta=0.8),),
-            sweep_mode="independent", on_error="fail_fast")
+            on_error="fail_fast")
         with pytest.raises(GridAbortedError):
-            run_grid(grid)
+            run_grid(grid, max_workers=2)
 
 
 class TestSampleGroupResume:

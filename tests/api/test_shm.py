@@ -219,18 +219,15 @@ class TestShmGridPlane:
         assert response.num_sample_loads == 1
         assert response.num_distance_computes == 1
 
-    def test_independent_mode_reports_untracked_counters(self):
-        grid = GridRequest.from_axes(BASE, thetas=(0.8, 0.6),
-                                     sweep_mode="independent")
-        response = run_grid(grid)
-        assert response.num_sample_loads is None
-        assert response.num_distance_computes is None
+    def test_custom_registry_path_reports_counters(self):
+        # A custom registry keeps a pooled grid serial; the counters are
+        # tracked on that path too.
+        from repro.api import default_registry
 
-    def test_shared_memory_off_falls_back_with_identical_responses(self):
-        serial = run_grid(self.GRID, max_workers=0)
-        legacy = run_grid(self.GRID, max_workers=2, shared_memory=False)
-        for ours, theirs in zip(legacy.responses, serial.responses):
-            assert_response_parity(ours, theirs)
+        response = run_grid(self.GRID, max_workers=2,
+                            registry=default_registry())
+        assert response.num_sample_loads == 1
+        assert response.num_distance_computes == 1
 
     def test_theta_group_failure_is_isolated_on_the_shm_plane(self):
         bad = [BASE.with_overrides(algorithm="no-such-algo", theta=theta)
@@ -278,13 +275,13 @@ CRASH_SCRIPT = textwrap.dedent("""
 
     _real = batch._execute_shm_group_payload
 
-    def _killer(payloads, sweep_mode, data_dir, descriptor, baseline=None):
+    def _killer(payloads, data_dir, descriptor, baseline=None):
         # First θ-group dies hard mid-task; the rest run normally.  Workers
         # inherit this patched module via fork, and the submitted callable
         # resolves back through __main__ in the child.
         if payloads[0]["theta"] >= 0.85:
             os.kill(os.getpid(), signal.SIGKILL)
-        return _real(payloads, sweep_mode, data_dir, descriptor, baseline)
+        return _real(payloads, data_dir, descriptor, baseline)
 
     batch._execute_shm_group_payload = _killer
 

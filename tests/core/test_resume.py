@@ -93,19 +93,19 @@ class TestResumeValidation:
                             seed=0).anonymize_schedule(graph, [0.5],
                                                        resume_from=stripped)
 
-    def test_independent_mode_ignores_resume(self, graph):
+    @pytest.mark.parametrize("algorithm", ["gades", "gaded-rand", "gaded-max"])
+    def test_non_resumable_algorithms_run_the_tail_cold(self, graph, algorithm):
+        # GADES and GADED cannot continue a pass: handed a checkpoint they
+        # run the remaining θs cold, with the uninterrupted pass's results.
         registry = default_registry()
         buffer = CheckpointBuffer()
         registry.create("rem", theta=0.7, length_threshold=1,
                         seed=0).anonymize_schedule(graph, [0.9, 0.7],
                                                    observer=buffer)
         checkpoint = buffer.records[-1][1]
-        independent = registry.create(
-            "rem", theta=0.5, length_threshold=1, seed=0,
-            sweep_mode="independent")
-        full = registry.create("rem", theta=0.5, length_threshold=1, seed=0)
-        resumed = independent.anonymize_schedule(graph, [0.5, 0.3],
-                                                 resume_from=checkpoint)
-        reference = full.anonymize_schedule(graph, [0.9, 0.7, 0.5, 0.3])
+        resumed = registry.create(algorithm, theta=0.3, seed=0)\
+            .anonymize_schedule(graph, [0.5, 0.3], resume_from=checkpoint)
+        reference = registry.create(algorithm, theta=0.3, seed=0)\
+            .anonymize_schedule(graph, THETAS)
         assert [_result_key(result) for result in resumed] \
             == [_result_key(result) for result in reference[2:]]

@@ -8,7 +8,6 @@ from repro.core import (
     AnonymizerConfig,
     EdgeRemovalAnonymizer,
     EdgeRemovalInsertionAnonymizer,
-    SWEEP_MODES,
     validate_theta_schedule,
 )
 from repro.errors import ConfigurationError, InfeasibleError
@@ -42,11 +41,10 @@ class TestValidateThetaSchedule:
         with pytest.raises(ConfigurationError):
             validate_theta_schedule([0.5, 1.5])
 
-    def test_sweep_mode_validated_on_config(self):
-        with pytest.raises(ConfigurationError):
-            AnonymizerConfig(sweep_mode="sideways").validate()
-        for mode in SWEEP_MODES:
-            AnonymizerConfig(sweep_mode=mode).validate()
+    def test_config_has_no_sweep_mode_knob(self):
+        # Every schedule runs as one checkpointed pass; the knob is gone.
+        with pytest.raises(TypeError):
+            AnonymizerConfig(sweep_mode="independent")
 
 
 class TestScheduleResults:
@@ -107,12 +105,16 @@ class TestScheduleResults:
             assert run.stop_reason == independent.stop_reason
 
     @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))
-    def test_independent_sweep_mode_matches_checkpointed(self, graph, name):
+    def test_seeded_schedule_matches_independent_runs(self, graph, name):
+        # The grid engine seeds each pass with the sample's precomputed
+        # L-bounded matrix; the reference runs compute their own.
+        from repro.graph.distance import bounded_distance_matrix
+
         make = ALGORITHM_FACTORIES[name]
         thetas = (0.8, 0.6)
-        checkpointed = make(0.6).anonymize_schedule(graph, thetas)
-        independent = make(0.6, sweep_mode="independent").anonymize_schedule(
-            graph, thetas)
+        checkpointed = make(0.6).anonymize_schedule(
+            graph, thetas, initial_distances=bounded_distance_matrix(graph, 1))
+        independent = [make(theta).anonymize(graph) for theta in thetas]
         for a, b in zip(checkpointed, independent):
             assert a.config.theta == b.config.theta
             assert [s.edges for s in a.steps] == [s.edges for s in b.steps]

@@ -13,6 +13,7 @@ from repro.experiments.figures import (
     figure11_series,
     figure12_series,
 )
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 
 #: Tiny parameters so the whole module stays fast; the benchmarks run the
@@ -94,15 +95,17 @@ class TestRuntimeFigures:
         for points in series.values():
             assert [size for size, _v in points] == [25, 35]
 
-    def test_sweep_modes_produce_identical_series(self, runner):
+    def test_series_match_per_theta_runs(self, runner):
         checkpointed = figure6_series("gnutella", length_threshold=1,
                                       lookaheads=(1,), runner=runner, **TINY)
-        independent = figure6_series("gnutella", length_threshold=1,
-                                     lookaheads=(1,), sweep_mode="independent",
-                                     runner=runner, **TINY)
-        assert set(checkpointed) == set(independent)
+        assert len(checkpointed) == 5
         for label, points in checkpointed.items():
-            assert points == independent[label]
+            reference = [(theta, runner.run(ExperimentConfig(
+                             dataset="gnutella", sample_size=30,
+                             algorithm=label.split()[0], theta=theta, seed=0,
+                             insertion_candidate_cap=150)).distortion)
+                         for theta in TINY["thetas"]]
+            assert points == reference, label
 
     def test_figure11_and_12_share_sweep_structure(self, runner):
         runtime = figure11_series(sample_sizes=(30, 40), thetas=(0.8, 0.6),

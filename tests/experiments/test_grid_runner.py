@@ -3,7 +3,7 @@
 import pytest
 
 import repro.graph.distance_cache as distance_cache_module
-from repro.experiments.config import SweepPlan
+from repro.experiments.config import ExperimentConfig, SweepPlan
 from repro.experiments.figures import figure6_lsweep_series, figure10_series
 from repro.experiments.runner import ExperimentRunner
 
@@ -69,11 +69,12 @@ class TestRunGrid:
         runner.run_grid(plans)
         assert sorted(computes) == [2, 2]
 
-    def test_independent_plans_skip_the_shared_matrix(self, runner):
-        plans = [_plan(length, sweep_mode="independent") for length in (1, 2)]
+    def test_grid_matches_per_theta_runs(self, runner):
+        plans = [_plan(length) for length in (1, 2)]
         grid = runner.run_grid(plans)
         for plan, records in zip(plans, grid):
-            assert_records_match(records, runner.run_sweep(plan))
+            assert_records_match(records, [runner.run(config)
+                                           for config in plan.configs()])
 
     def test_parallel_grid_matches_serial(self, runner):
         plans = [_plan(length) for length in (1, 2)]
@@ -89,15 +90,18 @@ class TestRunGrid:
 
 
 class TestFigureBuildersOnGrid:
-    def test_lsweep_builder_matches_independent_mode(self, runner):
+    def test_lsweep_builder_matches_per_theta_runs(self, runner):
         shared = figure6_lsweep_series("gnutella", lengths=(1, 2),
                                        sample_size=30, thetas=(0.8, 0.6),
                                        insertion_cap=100, runner=runner)
-        independent = figure6_lsweep_series("gnutella", lengths=(1, 2),
-                                            sample_size=30, thetas=(0.8, 0.6),
-                                            insertion_cap=100,
-                                            sweep_mode="independent",
-                                            runner=runner)
+        independent = {
+            f"{algorithm} L={length}": [
+                (theta, runner.run(ExperimentConfig(
+                    dataset="gnutella", sample_size=30, algorithm=algorithm,
+                    theta=theta, length_threshold=length, seed=0,
+                    insertion_candidate_cap=100)).distortion)
+                for theta in (0.8, 0.6)]
+            for length in (1, 2) for algorithm in ("rem", "rem-ins")}
         assert shared == independent
 
     def test_lsweep_builder_is_one_grid_job(self, runner, monkeypatch):
@@ -122,44 +126,12 @@ class TestFigureBuildersOnGrid:
             assert [size for size, _ in points] == [25, 30]
 
 
-class TestLegacyScheduleSignature:
-    def test_replaced_algorithm_without_kwarg_runs_cold(self, runner, monkeypatch):
-        # A registry-replaced algorithm with the pre-grid schedule signature
-        # (no initial_distances) must run cold instead of crashing.
-        from repro.api.registry import register_anonymizer
-        from repro.core import EdgeRemovalAnonymizer
-
-        class LegacySchedule(EdgeRemovalAnonymizer):
-            def anonymize_schedule(self, graph, thetas=None, typing=None,
-                                   observer=None):
-                return super().anonymize_schedule(graph, thetas, typing,
-                                                  observer)
-
-        register_anonymizer(
-            "rem", LegacySchedule, replace=True,
-            accepts=("theta", "length_threshold", "lookahead", "seed",
-                     "engine", "evaluation_mode", "scan_mode", "sweep_mode",
-                     "max_steps", "prune_candidates", "max_combinations",
-                     "strict"))
-        try:
-            grid = runner.run_grid([_plan(1), _plan(2)])
-            assert all(records for records in grid)
-        finally:
-            register_anonymizer(
-                "rem", EdgeRemovalAnonymizer, replace=True,
-                accepts=("theta", "length_threshold", "lookahead", "seed",
-                         "engine", "evaluation_mode", "scan_mode",
-                         "sweep_mode", "max_steps", "prune_candidates",
-                         "max_combinations", "strict"))
-
-
-class TestMixedSweepModes:
-    def test_parallel_grid_honours_per_plan_sweep_mode(self, runner):
-        plans = [_plan(1), _plan(1, algorithm="rem-ins",
-                                 sweep_mode="independent")]
-        serial = runner.run_grid(plans)
+class TestParallelMixedAlgorithms:
+    def test_parallel_grid_matches_per_theta_runs(self, runner):
+        plans = [_plan(1), _plan(1, algorithm="rem-ins")]
         parallel = runner.run_grid(plans, max_workers=2)
-        for ours, theirs in zip(parallel, serial):
-            assert_records_match(ours, theirs)
-        assert [records[0].config.sweep_mode for records in parallel] == \
-               ["checkpointed", "independent"]
+        for plan, records in zip(plans, parallel):
+            assert_records_match(records, [runner.run(config)
+                                           for config in plan.configs()])
+        assert [records[0].config.algorithm for records in parallel] == \
+               ["rem", "rem-ins"]

@@ -9,8 +9,6 @@ strategy.  These tests assert exactly that at the experiments layer
 layer.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +19,7 @@ from repro.experiments.config import ALGORITHMS, ExperimentConfig, SweepPlan
 from repro.experiments.runner import ExperimentRunner
 from repro.graph import erdos_renyi_graph
 
-#: Fields of a RunRecord compared bit-for-bit (everything except runtime
-#: and the config record, whose sweep_mode field names the execution path).
+#: Fields of a RunRecord compared bit-for-bit (everything except runtime).
 COMPARED_FIELDS = ("success", "final_opacity", "distortion", "degree_emd",
                    "geodesic_emd", "mean_cc_difference", "steps", "evaluations")
 
@@ -37,9 +34,7 @@ def runner():
 def assert_records_match(checkpointed, reference):
     assert len(checkpointed) == len(reference)
     for ours, theirs in zip(checkpointed, reference):
-        assert ours.config.theta == theirs.config.theta
-        assert replace(ours.config, sweep_mode="checkpointed") == \
-               replace(theirs.config, sweep_mode="checkpointed")
+        assert ours.config == theirs.config
         for field in COMPARED_FIELDS:
             assert getattr(ours, field) == getattr(theirs, field), \
                 (field, ours.config.label(), ours.config.theta)
@@ -56,13 +51,13 @@ class TestRunSweepParity:
         assert_records_match(checkpointed, reference)
 
     @pytest.mark.parametrize("algorithm", ("rem", "rem-ins"))
-    def test_checkpointed_matches_independent_mode_at_l2(self, runner, algorithm):
+    def test_checkpointed_matches_independent_runs_at_l2(self, runner, algorithm):
         plan = SweepPlan(dataset="enron", sample_size=30, algorithm=algorithm,
                          thetas=(0.8, 0.6), length_threshold=2, seed=0,
                          insertion_candidate_cap=100)
         checkpointed = runner.run_sweep(plan)
-        independent = runner.run_sweep(replace(plan, sweep_mode="independent"))
-        assert_records_match(checkpointed, independent)
+        reference = [runner.run(config) for config in plan.configs()]
+        assert_records_match(checkpointed, reference)
 
     def test_records_follow_plan_theta_order(self, runner):
         plan = SweepPlan(dataset="gnutella", sample_size=30, algorithm="rem",
@@ -165,11 +160,10 @@ class TestRunAllGrouping:
             for field in COMPARED_FIELDS:
                 assert getattr(ours, field) == getattr(theirs, field)
 
-    def test_independent_sweep_mode_skips_grouping(self, runner):
+    def test_single_theta_groups_run_directly(self, runner):
         configs = [ExperimentConfig(dataset="gnutella", sample_size=30,
-                                    algorithm="rem", theta=theta, seed=0,
-                                    sweep_mode="independent")
-                   for theta in (0.8, 0.6)]
+                                    algorithm="rem", theta=0.7, seed=seed)
+                   for seed in (0, 1)]
         records = runner.run_all(configs)
         reference = [runner.run(config) for config in configs]
         for ours, theirs in zip(records, reference):

@@ -156,6 +156,33 @@ class TestErrorPaths:
                          {"kind": "anonymize", "request": payload})
         assert caught.value.status == 400
 
+    @pytest.mark.parametrize("kind,extra", [("sweep", {}),
+                                            ("grid", {"sweep_mode": "independent"})])
+    def test_retired_sweep_submissions_are_400_naming_grid(self, service,
+                                                           kind, extra):
+        client, _store, _manager = service
+        request = dict(small_grid().to_dict(), **extra)
+        with pytest.raises(ServiceError) as caught:
+            client._call("POST", "/jobs", {"kind": kind, "request": request})
+        assert caught.value.status == 400
+        assert "grid" in caught.value.payload["error"]
+
+    def test_store_failure_answers_500_instead_of_dropping(self, service,
+                                                           monkeypatch):
+        import sqlite3
+
+        client, store, _manager = service
+
+        def locked(*_args, **_kwargs):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(store, "create_job", locked)
+        with pytest.raises(ServiceError) as caught:
+            client.submit(small_grid())
+        assert caught.value.status == 500
+        assert "OperationalError" in caught.value.payload["error"]
+        assert client.health() == {"ok": True}  # the server survived
+
     def test_unknown_path_404(self, service):
         client, _store, _manager = service
         with pytest.raises(ServiceError) as caught:

@@ -12,14 +12,18 @@ from repro.api import (
     CheckpointBuffer,
     GridRequest,
     GridResponse,
-    SweepRequest,
     checkpoint_to_json,
     execute_sample_group,
     request_fingerprint,
     run_grid,
 )
 from repro.errors import ConfigurationError
-from repro.service.jobs import JobManager, parse_request, wrap_result
+from repro.service.jobs import (
+    JobManager,
+    parse_request,
+    upgrade_stored,
+    wrap_result,
+)
 from repro.service.store import RunStore
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=24, seed=0)
@@ -60,14 +64,37 @@ def manager(store):
 class TestParseRequest:
     def test_each_kind_parses(self):
         assert parse_request("anonymize", BASE.to_dict()) == BASE
-        sweep = SweepRequest(requests=(BASE,))
-        assert parse_request("sweep", sweep.to_dict()) == sweep
         grid = small_grid()
         assert parse_request("grid", grid.to_dict()) == grid
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="kind"):
             parse_request("banana", {})
+
+    def test_retired_sweep_kind_rejected_naming_grid(self):
+        with pytest.raises(ConfigurationError, match="grid"):
+            parse_request("sweep", small_grid().to_dict())
+
+
+class TestUpgradeStored:
+    def test_sweep_kind_becomes_grid_without_sweep_mode(self):
+        legacy = {"requests": [dict(BASE.to_dict(), sweep_mode="independent")],
+                  "sweep_mode": "independent"}
+        kind, payload = upgrade_stored("sweep", legacy)
+        assert kind == "grid"
+        assert GridRequest.from_dict(payload) == GridRequest(requests=(BASE,))
+
+    def test_nested_response_requests_are_stripped(self):
+        legacy = AnonymizationResponse(request=BASE).to_dict()
+        legacy["request"]["sweep_mode"] = "checkpointed"
+        kind, payload = upgrade_stored("anonymize", legacy)
+        assert kind == "anonymize"
+        assert AnonymizationResponse.from_dict(payload) == \
+            AnonymizationResponse(request=BASE)
+
+    def test_current_rows_pass_through_unchanged(self):
+        payload = small_grid().to_dict()
+        assert upgrade_stored("grid", payload) == ("grid", payload)
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(ConfigurationError, match="object"):
@@ -138,20 +165,6 @@ class TestExecution:
             assert_grid_parity(result, run_grid(grid, max_workers=0))
             assert result.num_sample_loads == 1
             assert result.num_distance_computes == 1
-        finally:
-            manager.stop()
-
-    def test_pooled_manager_honours_the_shared_memory_escape_hatch(self, store):
-        grid = GridRequest.from_axes(BASE, length_thresholds=(1, 2),
-                                     thetas=THETAS)
-        manager = JobManager(store, max_workers=2, shared_memory=False)
-        manager.start()
-        try:
-            submitted = manager.submit("grid", grid)
-            job = manager.wait_for(submitted["job_id"], timeout=120)
-            assert job["status"] == "done"
-            result = GridResponse.from_json(store.get_result(job["id"]))
-            assert_grid_parity(result, run_grid(grid, max_workers=0))
         finally:
             manager.stop()
 
@@ -353,11 +366,9 @@ class TestResume:
 
 
 class TestWrapResult:
-    def test_sweep_and_grid_wrapping(self):
-        sweep = SweepRequest(requests=(BASE.with_overrides(theta=0.8),))
-        responses = [AnonymizationResponse(request=sweep.requests[0])]
-        wrapped = wrap_result("sweep", sweep, responses)
-        assert wrapped.num_groups == 1
+    def test_anonymize_and_grid_wrapping(self):
+        response = AnonymizationResponse(request=BASE)
+        assert wrap_result("anonymize", BASE, [response]) is response
         grid = small_grid()
         grid_responses = [AnonymizationResponse(request=request)
                           for request in grid.requests]

@@ -12,8 +12,6 @@ from repro.api import (
     CheckpointBuffer,
     GridRequest,
     GridResponse,
-    SweepRequest,
-    SweepResponse,
     checkpoint_from_json,
     checkpoint_to_json,
     execute_sample_group,
@@ -146,16 +144,27 @@ class TestSqliteRoundTrips:
         assert restored == response
         assert restored.error is not None
 
-    def test_sweep_types_round_trip(self, store):
-        sweep = SweepRequest(requests=(BASE, BASE.with_overrides(theta=0.7)))
-        job_id = store.create_job("sweep", request_fingerprint(sweep),
-                                  sweep.to_json(), 2)
-        assert SweepRequest.from_json(
-            store.get_job(job_id)["request_json"]) == sweep
-        result = SweepResponse(responses=(AnonymizationResponse(request=BASE),),
-                               num_groups=1)
-        store.record_result(job_id, result.to_json())
-        assert SweepResponse.from_json(store.get_result(job_id)) == result
+    def test_legacy_sweep_rows_load_as_grids(self, store):
+        # A row written before sweeps became one-axis grids.
+        from repro.service.jobs import upgrade_stored
+
+        requests = [dict(request.to_dict(), sweep_mode="checkpointed")
+                    for request in (BASE, BASE.with_overrides(theta=0.7))]
+        job_id = store.create_job("sweep", "legacy-fingerprint", json.dumps(
+            {"requests": requests, "sweep_mode": "checkpointed"}), 2)
+        store.record_result(job_id, json.dumps(
+            {"responses": [{"request": requests[0]}],
+             "sweep_mode": "checkpointed", "num_groups": 1}))
+        job = store.get_job(job_id)
+        kind, payload = upgrade_stored(job["kind"],
+                                       json.loads(job["request_json"]))
+        assert kind == "grid"
+        assert GridRequest.from_dict(payload) == GridRequest(
+            requests=(BASE, BASE.with_overrides(theta=0.7)))
+        _, result = upgrade_stored(job["kind"],
+                                   json.loads(store.get_result(job_id)))
+        assert GridResponse.from_dict(result) == GridResponse(
+            responses=(AnonymizationResponse(request=BASE),), num_groups=1)
 
     def test_grid_types_round_trip(self, store):
         grid = GridRequest(requests=(BASE,), on_error="fail_fast")

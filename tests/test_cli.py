@@ -237,8 +237,8 @@ class TestSweepAxes:
         assert "theta=0.80" in captured
 
     def test_sweep_command_pooled_shm_grid(self, capsys):
-        # Default --shared-memory on: the pooled grid runs on the
-        # zero-copy plane (θ-groups fan out over one published sample).
+        # The pooled grid runs on the zero-copy plane (θ-groups fan out
+        # over one published sample).
         exit_code = main(["sweep", "--dataset", "gnutella", "--size", "25",
                           "--thetas", "0.8", "0.6", "--no-utility",
                           "--axis", "l=1,2", "--max-workers", "2"])
@@ -246,14 +246,17 @@ class TestSweepAxes:
         assert exit_code == 0
         assert "4 runs in 2 group(s) over 1 sample group(s)" in captured
 
-    def test_sweep_command_shared_memory_off(self, capsys):
-        exit_code = main(["sweep", "--dataset", "gnutella", "--size", "25",
-                          "--thetas", "0.8", "0.6", "--no-utility",
-                          "--axis", "l=1,2", "--max-workers", "2",
-                          "--shared-memory", "off"])
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "4 runs in 2 group(s) over 1 sample group(s)" in captured
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--shared-memory", "off"],
+        ["sweep", "--sweep-mode", "independent"],
+        ["serve", "--shared-memory", "off"],
+        ["figure", "--name", "fig6", "--sweep-mode", "independent"],
+    ])
+    def test_retired_execution_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_command_writes_grid_response(self, tmp_path, capsys):
         output = tmp_path / "grid.json"
