@@ -4,6 +4,10 @@ Look-ahead widens the greedy search space; the paper reports that it lets
 Removal/Insertion find solutions (or better solutions) at the price of a
 significantly higher runtime, while Removal's runtime is affected only
 mildly.  This bench quantifies both effects on one workload.
+
+The L = 1 cases take the session's L = 1 tally path, which needs no
+distance deltas; the L = 2 case runs look-ahead level 2 through the stacked
+k-edge removal slab and pins it to the per-candidate scan.
 """
 
 import pytest
@@ -15,6 +19,9 @@ from repro.datasets import load_sample
 DATASET = "wikipedia"
 SAMPLE_SIZE = smoke(40, 25)
 THETA = 0.5
+#: A sparse sample on which level 1 stops improving within three steps at
+#: L = 2, so level 2 scans its edge pairs.
+SLAB_DATASET = "acm"
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +48,25 @@ def bench_lookahead_removal_insertion(benchmark, workload, lookahead):
     result = run_once(benchmark, anonymizer.anonymize, workload)
     print(f"\n  removal/insertion la={lookahead}: {result.summary()}")
     assert 0.0 <= result.final_opacity <= 1.0
+
+
+def bench_lookahead_removal_stacked_slab(benchmark):
+    graph = load_sample(SLAB_DATASET, SAMPLE_SIZE, seed=0)
+    benchmark.group = (f"Edge Removal L=2 la=2, {SLAB_DATASET} "
+                       f"|V|={SAMPLE_SIZE}, theta={THETA}")
+
+    def run(scan_mode):
+        return EdgeRemovalAnonymizer(length_threshold=2, theta=THETA, seed=0,
+                                     lookahead=2, max_steps=3,
+                                     scan_mode=scan_mode).anonymize(graph)
+
+    batched = run_once(benchmark, run, "batched")
+    reference = run("per_candidate")
+    print(f"\n  removal L=2 la=2 batched: {batched.summary()}")
+    # Level 1 evaluates at most |E| candidates per step; more evaluations
+    # than three such scans prove a level-2 pair scan ran.
+    assert batched.evaluations > 3 * (graph.num_edges + 1)
+    assert [step.edges for step in batched.steps] == \
+        [step.edges for step in reference.steps]
+    assert batched.evaluations == reference.evaluations
+    assert batched.final_opacity == reference.final_opacity

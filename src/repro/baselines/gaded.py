@@ -272,12 +272,12 @@ class GadedMaxAnonymizer(_GadedBase):
             outcomes = iter_batched_evaluations(session, candidates,
                                                 lambda edge: ((edge,), ()))
         else:
-            outcomes = (session.evaluate_edit(removals=(edge,))
+            outcomes = ((edge, session.evaluate_edit(removals=(edge,)))
                         for edge in candidates)
         best_edge: Optional[Edge] = None
         best_key: Optional[Tuple[float, float]] = None
         tie_count = 0
-        for edge, outcome in zip(candidates, outcomes):
+        for edge, outcome in outcomes:
             self._record_evaluation(result)
             key = (outcome.max_opacity, outcome.total_opacity)
             if best_key is None or key < best_key:

@@ -277,12 +277,12 @@ class GadesAnonymizer:
             outcomes = iter_batched_evaluations(session, candidates,
                                                 lambda swap: (swap[:2], swap[2:]))
         else:
-            outcomes = (session.evaluate_edit(removals=swap[:2],
-                                              insertions=swap[2:])
+            outcomes = ((swap, session.evaluate_edit(removals=swap[:2],
+                                                     insertions=swap[2:]))
                         for swap in candidates)
         best: Optional[Swap] = None
         best_value = current_max
-        for swap, outcome in zip(candidates, outcomes):
+        for swap, outcome in outcomes:
             result.evaluations += 1
             result.observer.on_evaluation(result.evaluations)
             if result.observer.should_stop():

@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument("--scan-mode", choices=SCAN_MODES,
                            default="batched", dest="scan_mode",
                            help="candidate scan strategy: one stacked pass over "
-                                "a step's single-edge candidates (batched), "
+                                "a step's candidates and look-ahead "
+                                "combinations (batched), "
                                 "one preview per candidate (per_candidate), or "
                                 "the batched scan sharded across a worker pool "
                                 "(parallel); all choose identical edits")

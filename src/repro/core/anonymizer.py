@@ -25,7 +25,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.api.progress import (
     NULL_OBSERVER,
@@ -73,25 +74,30 @@ def validate_theta_schedule(thetas: Sequence[float]) -> Tuple[float, ...]:
     return tuple(sorted({float(theta) for theta in thetas}, reverse=True))
 
 
-def iter_batched_evaluations(session: OpacitySession, candidates: Sequence,
+def iter_batched_evaluations(session: OpacitySession, candidates: Iterable,
                              to_edit):
-    """Stream a batched candidate scan's evaluations in stop-friendly chunks.
+    """Stream a batched candidate scan as ``(candidate, evaluation)`` pairs.
 
     ``to_edit`` maps one candidate to its ``(removals, insertions)`` edit.
-    Evaluations arrive in candidate order, computed one
-    ``BATCH_SCAN_CHUNK``-sized :meth:`OpacitySession.evaluate_edits` pass at
-    a time, so the consumer's per-candidate accounting (and any stop raised
-    from it) never waits on more than one chunk of computed-but-unreported
-    work.  Shared by every ``scan_mode="batched"`` scan loop.
+    ``candidates`` may be any iterable (a lazy look-ahead combination
+    generator included): it is consumed one chunk at a time, each chunk
+    computed in one :meth:`OpacitySession.evaluate_edits` pass, and the
+    pairs arrive in candidate order — so the consumer's per-candidate
+    accounting (and any stop raised from it) never waits on more than one
+    chunk of computed-but-unreported work.  Shared by every
+    ``scan_mode="batched"`` scan loop.
     """
     # A parallel scan amortizes one pool round-trip per chunk, so chunks
     # scale with the pool size — each worker still sees ~BATCH_SCAN_CHUNK
     # candidates per round, and stop latency per process is unchanged.
     chunk_size = BATCH_SCAN_CHUNK * max(1, session.scan_parallelism)
-    for start in range(0, len(candidates), chunk_size):
-        chunk = candidates[start:start + chunk_size]
-        yield from session.evaluate_edits([to_edit(candidate)
-                                           for candidate in chunk])
+    iterator = iter(candidates)
+    while True:
+        chunk = list(islice(iterator, chunk_size))
+        if not chunk:
+            return
+        yield from zip(chunk, session.evaluate_edits(
+            [to_edit(candidate) for candidate in chunk]))
 
 
 @dataclass(frozen=True)
@@ -136,9 +142,10 @@ class AnonymizerConfig:
         candidate.  Both modes choose bit-identical edits.
     scan_mode:
         How a step's candidate list is walked: ``"batched"`` (default)
-        evaluates all single-edge candidates of a scan in one stacked
+        evaluates a scan's candidates (single edges or one look-ahead
+        level's combinations) in stacked
         :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
-        pass; ``"per_candidate"`` previews them one at a time;
+        passes; ``"per_candidate"`` previews them one at a time;
         ``"parallel"`` shards the batched scan across a pool of
         ``scan_workers`` processes attached to a shared-memory publication
         of the session state (DESIGN.md §12).  All scan modes choose
@@ -703,8 +710,9 @@ class BaseAnonymizer(ABC):
                                  result: AnonymizationResult):
         """Batch counterpart of :meth:`_evaluate_removal` for candidate scans.
 
-        Returns a callable mapping a list of edge combinations to an
-        iterator of :class:`CandidateOutcome`\\ s: outcomes are computed in
+        Returns a callable mapping an iterable of edge combinations (of one
+        size) to an iterator of :class:`CandidateOutcome`\\ s: the
+        combinations are consumed and their outcomes computed in
         stacked :meth:`OpacitySession.evaluate_edits` chunks, then yielded
         one at a time with the same per-candidate evaluation accounting
         (and :class:`AnonymizationStopped` cadence) as the sequential scan
@@ -727,8 +735,8 @@ class BaseAnonymizer(ABC):
                 return ((), tuple(combo))
 
         def evaluate_batch(combos):
-            evaluations = iter_batched_evaluations(session, combos, to_edit)
-            for combo, evaluation in zip(combos, evaluations):
+            for combo, evaluation in iter_batched_evaluations(session, combos,
+                                                              to_edit):
                 self._record_evaluation(result)
                 yield CandidateOutcome(edges=tuple(combo),
                                        fraction=evaluation.fraction,

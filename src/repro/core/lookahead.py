@@ -6,6 +6,12 @@ opacity the search widens to combinations of two edges, then three, up to
 ``la`` edges, evaluating each combination on the fly (the paper's recursive
 combination generator).  If no combination improves at any size, the best
 single-size candidate found is returned so the greedy loop still progresses.
+
+With a batch hook (``scan_mode="batched"``) every level streams its
+combinations through the session's stacked scan: a level of k-edge removal
+combinations is previewed chunk by chunk in one k-edge removal slab (see
+:mod:`repro.graph.distance_delta`), bit-identical to previewing each
+combination on its own.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ from repro.graph.graph import Edge
 
 EvaluateCombo = Callable[[Sequence[Edge]], CandidateOutcome]
 
-#: Batch evaluator: maps a list of combinations to their outcomes (an
-#: iterator, so evaluation accounting interleaves per candidate).
-EvaluateComboBatch = Callable[[Sequence[Tuple[Edge, ...]]],
+#: Batch evaluator: maps one level's combinations (a lazy iterable) to
+#: their outcomes (an iterator, so evaluation accounting interleaves per
+#: candidate).
+EvaluateComboBatch = Callable[[Iterable[Tuple[Edge, ...]]],
                               Iterator[CandidateOutcome]]
 
 
@@ -70,12 +77,14 @@ def search_best_combination(candidates: Sequence[Edge],
     size improves, the best candidate observed overall is returned; ``None``
     is returned only when there are no candidates at all.
 
-    ``evaluate_batch``, when given, handles the size-1 level: the session it
-    wraps computes every single-edge outcome in one stacked pass against the
-    shared distance state instead of one preview per candidate.  Larger
-    sizes keep per-combination evaluation so stop checks stay responsive
-    inside the (potentially capped-but-huge) combination scans; outcomes
-    are offered to the tie-breakers in the same order either way.
+    ``evaluate_batch``, when given, handles every level: it receives the
+    level's combinations as a lazy iterable and the session it wraps
+    computes them chunk by chunk, each chunk in one stacked pass against
+    the shared distance state (single edges and k-edge combinations alike)
+    instead of one preview per combination.  Its outcomes still arrive one
+    combination at a time, so stop checks stay per evaluation; ``evaluate``
+    is used only without a batch hook.  Outcomes are offered to the
+    tie-breakers in combination order either way.
     """
     if not candidates:
         return None
@@ -83,8 +92,8 @@ def search_best_combination(candidates: Sequence[Edge],
     for size in range(1, min(lookahead, len(candidates)) + 1):
         level = TieBreaker(rng)
         combos = _combinations_capped(candidates, size, max_combinations, rng)
-        if size == 1 and evaluate_batch is not None:
-            outcomes: Iterable[CandidateOutcome] = evaluate_batch(list(combos))
+        if evaluate_batch is not None:
+            outcomes: Iterable[CandidateOutcome] = evaluate_batch(combos)
         else:
             outcomes = (evaluate(combo) for combo in combos)
         for outcome in outcomes:

@@ -31,7 +31,8 @@ mutations in the same order, so adjacency-set iteration (and with it every
 seeded tie-break downstream) is mode-independent.
 
 Whole candidate scans go through :meth:`OpacitySession.evaluate_edits`,
-which stacks the distance deltas of all single-edge candidates into one
+which stacks the distance deltas of all single-edge candidates (or of one
+look-ahead level's k-edge removal combinations) into one
 :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass and
 tallies every candidate with a single grouped bincount — the ``"batched"``
 scan mode of the algorithms (DESIGN.md §7), bit-identical to the
@@ -74,6 +75,10 @@ SCAN_MODES: Tuple[str, ...] = ("per_candidate", "batched", "parallel")
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
+
+#: Slab cells one group of k-edge removal combinations may stack (about
+#: 3 MB of frontier-expansion and count workspace, ~16-24 bytes a cell).
+_COMBO_GROUP_CELLS = 1 << 17
 
 
 def validate_evaluation_mode(mode: str) -> None:
@@ -287,9 +292,10 @@ class OpacitySession:
         removals (resp. insertions) computes all distance deltas in one
         stacked :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
         pass and tallies every candidate's count deltas with a single grouped
-        bincount over the stacked flipped cells.  Heterogeneous or multi-edge
-        candidate lists (GADES swaps, look-ahead combinations) fall back to
-        sequential previews but still share the grouped count stage.
+        bincount over the stacked flipped cells.  Look-ahead combinations of
+        k removals share one stacked k-edge slab the same way; mixed
+        remove+insert candidates (GADES swaps) fall back to sequential
+        previews but still share the grouped count stage.
         """
         pairs = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
@@ -334,6 +340,14 @@ class OpacitySession:
         # changes neither the per-candidate math nor the mutation order.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
+        size = len(pairs[0][0]) if pairs and not pairs[0][1] else 0
+        if size > 1:
+            # A look-ahead level's k-edge combinations each stack the union
+            # of k single-edge row sets; hold a group's slab (and the count
+            # stage over it) to about _COMBO_GROUP_CELLS cells, sized from
+            # the affected rows observed per removed edge so far.
+            rows = size * max(1.0, self._distance.mean_affected_rows)
+            group = min(group, max(1, int(_COMBO_GROUP_CELLS / (rows * n))))
         changes: List[Dict[int, int]] = []
         for start in range(0, len(pairs), group):
             deltas = self._preview_deltas(pairs[start:start + group])
@@ -723,16 +737,20 @@ class OpacitySession:
                         ) -> List[Optional[DistanceDelta]]:
         """Distance deltas of independent candidates, stacked when possible.
 
-        The stacked single-edge paths run fused (``skip_unchanged=True``):
-        candidates whose edit flips no distance cell come back as ``None``
-        instead of an empty :class:`DistanceDelta`, so the grouped bincount
-        downstream never allocates per-candidate delta objects for no-op
-        rows.
+        Removal-only lists whose candidates all remove the same number of
+        edges (single edges, or one look-ahead level's combinations) share
+        one stacked slab, as do single-edge insertion lists; mixed
+        remove+insert edits (GADES swaps) take sequential previews.  The
+        stacked paths run fused (``skip_unchanged=True``): candidates whose
+        edit flips no distance cell come back as ``None`` instead of an
+        empty :class:`DistanceDelta`, so the grouped bincount downstream
+        never allocates per-candidate delta objects for no-op rows.
         """
-        if pairs and all(len(removals) == 1 and not insertions
-                         for removals, insertions in pairs):
+        if pairs and all(removals and not insertions
+                         for removals, insertions in pairs) \
+                and len({len(removals) for removals, _ in pairs}) == 1:
             return self._distance.preview_batch(
-                removals=[removals[0] for removals, _ in pairs],
+                removals=[removals for removals, _ in pairs],
                 skip_unchanged=True)
         if pairs and all(not removals and len(insertions) == 1
                          for removals, insertions in pairs):

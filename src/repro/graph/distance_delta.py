@@ -36,22 +36,25 @@ BLAS-friendly float32 matrix, the tiled tier works off a CSR snapshot with
 an edit-override set, producing bit-identical frontier booleans through
 exact integer neighbor counts.
 
-Multi-edge combinations are previewed sequentially, tracking intermediate
-state in a sparse row overlay (changed cells always have both endpoints
-among the affected rows, so overlaid rows compose consistently) — which
-keeps every step exact without copying the matrix per candidate.  Both
-code paths yield matrices identical to
+:meth:`DistanceSession.preview` (and :meth:`~DistanceSession.stage` /
+:meth:`~DistanceSession.apply`) process a multi-edge edit sequentially,
+tracking intermediate state in a sparse row overlay (changed cells always
+have both endpoints among the affected rows, so overlaid rows compose
+consistently) — which keeps every step exact without copying the matrix
+per candidate.  Both code paths yield matrices identical to
 :func:`repro.graph.distance.bounded_distance_matrix` on the edited graph;
 the property suite asserts this bit-for-bit.
 
 :meth:`DistanceSession.preview_batch` evaluates *many independent
-single-edge candidates* of the same kind in one stacked pass: all removal
-candidates share one ``|rows_total| × n`` slab recompute (with per-row
-corrections for each candidate's own removed edge), and all insertion
-candidates share one broadcast relaxation.  The batch is bit-identical to
-the equivalent sequence of :meth:`preview` calls — including the per-edit
-fallback heuristic and the graph-mutation order the sequential path leaves
-behind.
+candidates* of the same kind in one stacked pass: all removal candidates —
+single edges or look-ahead combinations of k edges each — share one
+``|rows_total| × n`` slab recompute (with per-row corrections for each of
+the candidate's removed edges; a single edge is the k = 1 case), and all
+single-edge insertion candidates share one broadcast relaxation.  The
+batch yields the same deltas as the equivalent sequence of :meth:`preview`
+calls and leaves the same graph-mutation order behind; only the routing
+between slab and from-scratch recompute (two value-identical paths) is
+decided on a combination's whole affected region instead of edge by edge.
 """
 
 from __future__ import annotations
@@ -96,6 +99,14 @@ class DistanceDelta:
     def num_affected_rows(self) -> int:
         """Number of rows whose values change under this edit."""
         return int(self.rows.size)
+
+
+def _as_combination(candidate: Union[Edge, Sequence[Edge]]
+                    ) -> Tuple[Edge, ...]:
+    """A removal candidate as its normalized edges (one edge is k = 1)."""
+    if candidate and isinstance(candidate[0], (int, np.integer)):
+        candidate = (candidate,)
+    return tuple(normalize_edge(u, v) for u, v in candidate)
 
 
 class _DenseAdjacency:
@@ -281,9 +292,13 @@ class DistanceSession:
         touches; the batched scans keep refining it with measured counts.
         """
         n = max(1, self._graph.num_vertices)
+        return min(1.0, max(0.05, 8.0 * self._expected_ball() / n))
+
+    def _expected_ball(self) -> float:
+        """Density-derived rows a single removal touches: ``2 degree^(L-1)``."""
+        n = max(1, self._graph.num_vertices)
         degree = max(1.0, 2.0 * self._graph.num_edges / n)
-        ball = min(float(n), 2.0 * degree ** max(0, self._length - 1))
-        return min(1.0, max(0.05, 8.0 * ball / n))
+        return min(float(n), 2.0 * degree ** max(0, self._length - 1))
 
     def _init_store(self,
                     initial_distances: Union[np.ndarray, DistanceStore, None],
@@ -372,6 +387,17 @@ class DistanceSession:
         mean_rows = self._observed_rows / self._observed_candidates
         self._fallback_fraction = min(1.0, max(0.05, 8.0 * mean_rows / n))
 
+    @property
+    def mean_affected_rows(self) -> float:
+        """Mean affected rows per single-edge removal observed so far.
+
+        Before any observation (and right after :meth:`take_observed_stats`
+        drains a worker's counters) the density estimate stands in.
+        """
+        if self._observed_candidates:
+            return self._observed_rows / self._observed_candidates
+        return self._expected_ball()
+
     def take_observed_stats(self) -> Tuple[int, int]:
         """Return and reset ``(affected rows, candidates)`` observed so far.
 
@@ -457,21 +483,27 @@ class DistanceSession:
         finally:
             self._revert(applied)
 
-    def preview_batch(self, removals: Sequence[Edge] = (),
+    def preview_batch(self, removals: Sequence[Union[Edge, Sequence[Edge]]] = (),
                       insertions: Sequence[Edge] = (),
                       skip_unchanged: bool = False) -> List[DistanceDelta | None]:
-        """Deltas of *independent* single-edge candidates, one stacked pass.
+        """Deltas of *independent* candidates, one stacked pass per kind.
 
         Unlike :meth:`preview` — where the listed edges form one combined
-        edit — every edge here is its own candidate: the result is
-        bit-identical to ``[preview(removals=[e]) for e in removals] +
+        edit — every entry here is its own candidate.  A removal candidate
+        is one edge or a combination of edges removed together (a
+        look-ahead level); all removal candidates of one call have the same
+        number k of edges, a single edge counting as k = 1.  The result is
+        bit-identical to ``[preview(removals=c) for c in removals] +
         [preview(insertions=[e]) for e in insertions]``, but all removal
         candidates share a single ``|rows_total| × n`` slab recompute and
         all insertion candidates share a single broadcast relaxation,
         eliminating the per-candidate numpy call overhead that dominates
-        the greedy scans.  The graph is touched (and restored) per
-        candidate with the same mutation sequence the sequential previews
-        use, so adjacency-set iteration order stays scan-mode-independent.
+        the greedy scans.  (One routing difference: a combination trips
+        the from-scratch fallback on its whole affected region, where
+        :meth:`preview` decides edge by edge; both paths yield the same
+        matrix.)  The graph is touched (and restored) per candidate with
+        the same mutation sequence the sequential previews use, so
+        adjacency-set iteration order stays scan-mode-independent.
 
         ``skip_unchanged=True`` is the fused-scan variant for consumers
         that only tally *within-L membership flips* (the opacity sessions):
@@ -482,9 +514,14 @@ class DistanceSession:
         rows.  From-scratch fallbacks always materialize (their consumers
         recount from the full matrix).
         """
-        removal_edges = [normalize_edge(u, v) for u, v in removals]
+        combos = [_as_combination(candidate) for candidate in removals]
+        sizes = {len(combo) for combo in combos}
+        if len(sizes) > 1 or 0 in sizes:
+            raise ConfigurationError(
+                "removal candidates of one batch must each remove the same, "
+                "nonzero number of edges")
         insertion_edges = [normalize_edge(u, v) for u, v in insertions]
-        deltas = self._batch_removal_deltas(removal_edges, skip_unchanged)
+        deltas = self._batch_removal_deltas(combos, skip_unchanged)
         deltas += self._batch_insertion_deltas(insertion_edges, skip_unchanged)
         return deltas
 
@@ -528,14 +565,19 @@ class DistanceSession:
             yield slab[start:stop]
             start = stop
 
-    def _batch_affected_rows(self, edges: Sequence[Edge],
-                             removal: bool) -> List[np.ndarray]:
+    def _batch_affected_rows(self, edges: Sequence[Edge], removal: bool,
+                             size: int = 1) -> List[np.ndarray]:
         """Affected-row arrays of every candidate from one stacked gather.
 
         Vectorizes :meth:`_removal_rows` (resp. the insertion row filter)
-        across the chunk's candidates: both endpoint columns are gathered at
+        across the chunk's edges: both endpoint columns are gathered at
         once — as matrix *rows*, transposed by symmetry — and the
-        per-candidate row sets split out of a single ``nonzero``.
+        per-candidate row sets split out of a single ``nonzero``.  ``edges``
+        lists the candidates' edges back to back, ``size`` per candidate; a
+        removal combination's rows are the union of its edges' rows, each
+        taken on the *unedited* matrix.  That union is exact: a pair whose
+        distance grows had every shortest ≤ L path cross a removed edge,
+        so its row is in that edge's own affected set.
         """
         endpoint_u = np.fromiter((edge[0] for edge in edges), dtype=np.int64,
                                  count=len(edges))
@@ -545,44 +587,51 @@ class DistanceSession:
         dv = self._store.rows(endpoint_v).astype(np.int64)
         near = np.minimum(du, dv) <= self._length - 1
         affected = (near & (np.abs(du - dv) == 1)) if removal else near
-        counts = affected.sum(axis=1)
         if removal:
-            self.observe_affected_rows(int(counts.sum()), len(edges))
+            self.observe_affected_rows(int(affected.sum()), len(edges))
+        if size != 1:
+            affected = affected.reshape(-1, size, du.shape[1]).any(axis=1)
+        counts = affected.sum(axis=1)
         candidate_index, row_index = np.nonzero(affected)
         del candidate_index
         return np.split(row_index, np.cumsum(counts)[:-1])
 
-    def _batch_removal_deltas(self, edges: List[Edge],
+    def _batch_removal_deltas(self, combos: List[Tuple[Edge, ...]],
                               skip_unchanged: bool = False
                               ) -> List[DistanceDelta | None]:
         n = self._graph.num_vertices
-        deltas: List[DistanceDelta | None] = [None] * len(edges)
+        deltas: List[DistanceDelta | None] = [None] * len(combos)
         slab: List[Tuple[int, np.ndarray]] = []  # (candidate index, affected rows)
         threshold = self._fallback_threshold(n)
-        candidate_cap = self._batch_candidate_cap()
-        for chunk_start in range(0, len(edges), candidate_cap):
-            chunk = edges[chunk_start:chunk_start + candidate_cap]
-            rows_per_candidate = self._batch_affected_rows(chunk, removal=True)
-            for local, (u, v) in enumerate(chunk):
+        size = len(combos[0]) if combos else 1
+        candidate_cap = max(1, self._batch_candidate_cap() // size)
+        for chunk_start in range(0, len(combos), candidate_cap):
+            chunk = combos[chunk_start:chunk_start + candidate_cap]
+            rows_per_candidate = self._batch_affected_rows(
+                [edge for combo in chunk for edge in combo], removal=True,
+                size=size)
+            for local, combo in enumerate(chunk):
                 index = chunk_start + local
                 # Same mutate/restore sequence as a sequential preview, so
                 # adjacency sets end up with identical iteration histories.
-                self._graph.remove_edge(u, v)
+                for u, v in combo:
+                    self._graph.remove_edge(u, v)
                 rows = rows_per_candidate[local]
                 if rows.size > threshold:
                     full = bounded_distance_matrix(self._graph, self._length,
                                                    engine=self._engine)
                     deltas[index] = DistanceDelta(
-                        (edges[index],), (), np.arange(n, dtype=np.int64), full,
+                        combo, (), np.arange(n, dtype=np.int64), full,
                         from_scratch=True)
                 else:
                     slab.append((index, rows))
-                self._graph.add_edge(u, v)
+                for u, v in combo:
+                    self._graph.add_edge(u, v)
         for slab_chunk in self._slab_chunks(slab):
-            self._fill_removal_chunk(edges, slab_chunk, deltas, skip_unchanged)
+            self._fill_removal_chunk(combos, slab_chunk, deltas, skip_unchanged)
         return deltas
 
-    def _fill_removal_chunk(self, edges: List[Edge],
+    def _fill_removal_chunk(self, combos: List[Tuple[Edge, ...]],
                             chunk: List[Tuple[int, np.ndarray]],
                             deltas: List[DistanceDelta | None],
                             skip_unchanged: bool) -> None:
@@ -594,17 +643,17 @@ class DistanceSession:
         if not skip_unchanged:
             for index, rows in chunk:
                 if not rows.size:
-                    deltas[index] = DistanceDelta((edges[index],), (),
+                    deltas[index] = DistanceDelta(combos[index], (),
                                                   empty_rows, empty_block)
         if not live:
             return
         rows_cat = np.concatenate([rows for _, rows in live])
-        sizes = [rows.size for _, rows in live]
-        edge_u = np.repeat(np.fromiter((edges[index][0] for index, _ in live),
-                                       dtype=np.int64, count=len(live)), sizes)
-        edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in live),
-                                       dtype=np.int64, count=len(live)), sizes)
-        block = self._rows_block_batch(rows_cat, edge_u, edge_v)
+        # (slab row, edge of its combination, endpoint)
+        endpoints = np.repeat(
+            np.array([combos[index] for index, _ in live], dtype=np.int64),
+            [rows.size for _, rows in live], axis=0)
+        block = self._rows_block_batch(rows_cat, endpoints[:, :, 0],
+                                       endpoints[:, :, 1])
         old_block = self._store.rows(rows_cat)
         changed_cat = (block != old_block).any(axis=1)
         if skip_unchanged:
@@ -621,7 +670,7 @@ class DistanceSession:
                 continue
             offset += rows.size
             deltas[index] = DistanceDelta(
-                (edges[index],), (), rows[changed],
+                combos[index], (), rows[changed],
                 np.ascontiguousarray(candidate_block[changed],
                                      dtype=self._store.dtype))
 
@@ -629,13 +678,13 @@ class DistanceSession:
                           edge_v: np.ndarray) -> np.ndarray:
         """:meth:`_rows_block` across candidates, one frontier expansion.
 
-        ``edge_u``/``edge_v`` name the removed edge of each slab row's
-        candidate.  The expansion runs against the *unedited* adjacency and
-        subtracts, per row, the single product term its candidate's removed
-        edge would have contributed — the mirror's neighbor weights are
-        exact (float32 0/1 dots or integer counts), so the corrected
-        frontier equals the one computed on the edited adjacency bit for
-        bit.
+        ``edge_u``/``edge_v`` are ``(rows, k)`` arrays naming the k removed
+        edges of each slab row's candidate.  The expansion runs against the
+        *unedited* adjacency and subtracts, per row, the product term each
+        of its candidate's removed edges would have contributed — the
+        mirror's neighbor weights are exact (float32 0/1 dots or integer
+        counts), so the corrected frontier equals the one computed on the
+        edited adjacency bit for bit.
 
         Source rows are independent, so slabs larger than the row cap (a
         single giant candidate admitted alone by :meth:`_slab_chunks`) are
@@ -662,12 +711,13 @@ class DistanceSession:
         reached = np.zeros((total, n), dtype=np.bool_)
         reached[source_index, rows] = True
         frontier = self._mirror.block(rows)
-        # A source row that is itself an endpoint of its candidate's removed
-        # edge must not start from the other endpoint.
-        at_u = rows == edge_u
-        frontier[source_index[at_u], edge_v[at_u]] = False
-        at_v = rows == edge_v
-        frontier[source_index[at_v], edge_u[at_v]] = False
+        # A source row that is itself an endpoint of a removed edge must not
+        # start from the edge's other endpoint.
+        for u, v in zip(edge_u.T, edge_v.T):
+            at_u = rows == u
+            frontier[source_index[at_u], v[at_u]] = False
+            at_v = rows == v
+            frontier[source_index[at_v], u[at_v]] = False
         step = 1
         while step <= self._length and frontier.any():
             new = frontier & ~reached
@@ -676,8 +726,11 @@ class DistanceSession:
             if step == self._length:
                 break
             product = self._mirror.expand(new)
-            product[source_index, edge_v] -= new[source_index, edge_u]
-            product[source_index, edge_u] -= new[source_index, edge_v]
+            # One statement per edge: fancy-index ``-=`` does not accumulate
+            # repeated indices, and two edges may share an endpoint.
+            for u, v in zip(edge_u.T, edge_v.T):
+                product[source_index, v] -= new[source_index, u]
+                product[source_index, u] -= new[source_index, v]
             frontier = product > 0
             step += 1
         return block

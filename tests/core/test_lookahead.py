@@ -168,6 +168,26 @@ class TestCappedSamplingNearPoolSize:
         assert runs[0] == runs[1]
 
 
+def _make_batch_evaluator(scores):
+    """Build an evaluate_batch() hook recording each call's combinations.
+
+    The hook receives one level's combinations as a lazy iterable, so it
+    materializes them exactly once before yielding outcomes in order.
+    """
+    calls = []
+
+    def evaluate_batch(combos):
+        combos = [tuple(combo) for combo in combos]
+        calls.append(combos)
+        for combo in combos:
+            yield CandidateOutcome(edges=combo,
+                                   fraction=scores[frozenset(combo)],
+                                   types_at_max=1)
+
+    evaluate_batch.calls = calls
+    return evaluate_batch
+
+
 class TestBatchEvaluation:
     def test_size_one_level_uses_the_batch_evaluator(self):
         edges = [(0, 1), (0, 2)]
@@ -176,43 +196,55 @@ class TestBatchEvaluation:
             frozenset({(0, 2)}): Fraction(3, 4),
         }
         sequential = _make_evaluator(scores)
-        batch_calls = []
-
-        def evaluate_batch(combos):
-            batch_calls.append(list(combos))
-            for combo in combos:
-                yield CandidateOutcome(edges=tuple(combo),
-                                       fraction=scores[frozenset(combo)],
-                                       types_at_max=1)
-
+        evaluate_batch = _make_batch_evaluator(scores)
         best = search_best_combination(edges, sequential,
                                        current_fraction=Fraction(1),
                                        lookahead=2, rng=random.Random(0),
                                        max_combinations=100,
                                        evaluate_batch=evaluate_batch)
         assert best.edges == ((0, 1),)
-        assert batch_calls == [[((0, 1),), ((0, 2),)]]
+        assert evaluate_batch.calls == [[((0, 1),), ((0, 2),)]]
         assert sequential.calls == []  # size 1 went through the batch path
 
-    def test_larger_sizes_stay_per_combination(self):
-        edges = [(0, 1), (0, 2)]
-        scores = {
-            frozenset({(0, 1)}): Fraction(1),
-            frozenset({(0, 2)}): Fraction(1),
-            frozenset({(0, 1), (0, 2)}): Fraction(1, 3),
-        }
-        sequential = _make_evaluator(scores)
+    _ESCALATING_SCORES = {
+        frozenset({(0, 1)}): Fraction(1),
+        frozenset({(0, 2)}): Fraction(1),
+        frozenset({(1, 2)}): Fraction(1),
+        frozenset({(0, 1), (0, 2)}): Fraction(1),
+        frozenset({(0, 1), (1, 2)}): Fraction(1),
+        frozenset({(0, 2), (1, 2)}): Fraction(1),
+        frozenset({(0, 1), (0, 2), (1, 2)}): Fraction(1, 3),
+    }
 
-        def evaluate_batch(combos):
-            for combo in combos:
-                yield CandidateOutcome(edges=tuple(combo),
-                                       fraction=scores[frozenset(combo)],
-                                       types_at_max=1)
-
+    def test_every_level_uses_the_batch_evaluator_in_order(self):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        sequential = _make_evaluator(self._ESCALATING_SCORES)
+        evaluate_batch = _make_batch_evaluator(self._ESCALATING_SCORES)
         best = search_best_combination(edges, sequential,
                                        current_fraction=Fraction(1),
-                                       lookahead=2, rng=random.Random(0),
+                                       lookahead=3, rng=random.Random(0),
                                        max_combinations=100,
                                        evaluate_batch=evaluate_batch)
-        assert set(best.edges) == {(0, 1), (0, 2)}
-        assert all(len(call) == 2 for call in sequential.calls)
+        assert set(best.edges) == {(0, 1), (0, 2), (1, 2)}
+        # One call per level, each in combination order; no level falls
+        # back to per-combination evaluation.
+        assert evaluate_batch.calls == [
+            [((0, 1),), ((0, 2),), ((1, 2),)],
+            [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))],
+            [((0, 1), (0, 2), (1, 2))],
+        ]
+        assert sequential.calls == []
+
+    def test_without_a_batch_hook_every_level_is_per_combination(self):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        sequential = _make_evaluator(self._ESCALATING_SCORES)
+        best = search_best_combination(edges, sequential,
+                                       current_fraction=Fraction(1),
+                                       lookahead=3, rng=random.Random(0),
+                                       max_combinations=100)
+        assert set(best.edges) == {(0, 1), (0, 2), (1, 2)}
+        assert sequential.calls == [
+            ((0, 1),), ((0, 2),), ((1, 2),),
+            ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)),
+            ((0, 1), (0, 2), (1, 2)),
+        ]

@@ -169,6 +169,36 @@ class TestObserverParity:
             # at 5 proves per-evaluation polling survived the refactor.
             assert result.evaluations <= limit + 2
 
+    @pytest.mark.parametrize("algorithm", [EdgeRemovalAnonymizer,
+                                           EdgeRemovalInsertionAnonymizer])
+    def test_stop_inside_a_lookahead_level_is_scan_mode_independent(
+            self, algorithm):
+        # Level 1 of this graph's first step (at most |E| = 32 single
+        # removals) does not improve, so the step escalates to its ~500
+        # pairs; a stop at 300 evaluations lands inside level 2, in the
+        # middle of a batched chunk whose outcomes were computed in one
+        # stacked pass but not yet reported.
+        graph = erdos_renyi_graph(16, 0.3, seed=1)
+        edges_before = graph.edge_set()
+        limit = 300
+        assert graph.num_edges < limit
+        outcomes = {}
+        for scan_mode in ("batched", "per_candidate"):
+            observer = _StopAfterEvaluations(limit)
+            result = algorithm(length_threshold=2, theta=0.0, lookahead=2,
+                               seed=0, scan_mode=scan_mode,
+                               insertion_candidate_cap=10).anonymize(
+                graph, observer=observer)
+            assert result.stop_reason == "observer"
+            # The stop lands on the limit-th evaluation; the greedy loop then
+            # re-evaluates the (restored) graph once.
+            assert result.evaluations == limit + 1
+            assert result.steps == []
+            assert result.anonymized_graph.edge_set() == edges_before
+            assert graph.edge_set() == edges_before
+            outcomes[scan_mode] = result.evaluations
+        assert outcomes["batched"] == outcomes["per_candidate"]
+
 
 class TestEvaluateEdits:
     """The batched scan API must reproduce per-candidate evaluation exactly."""

@@ -258,6 +258,27 @@ class TestPreviewBatch:
         session = DistanceSession(paper_example_graph, 2)
         assert session.preview_batch() == []
 
+    def test_single_edges_and_one_edge_combinations_agree(
+            self, paper_example_graph):
+        session = DistanceSession(paper_example_graph, 2)
+        edges = list(paper_example_graph.edges())
+        as_edges = session.preview_batch(removals=edges)
+        as_combos = session.preview_batch(removals=[(edge,) for edge in edges])
+        assert len(as_combos) == len(as_edges) == len(edges)
+        for edge, got, want in zip(edges, as_combos, as_edges):
+            assert got.removals == want.removals == (edge,)
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.new_rows, want.new_rows)
+
+    def test_removal_combinations_must_share_their_size(
+            self, paper_example_graph):
+        session = DistanceSession(paper_example_graph, 2)
+        first, second, third = list(paper_example_graph.edges())[:3]
+        with pytest.raises(ConfigurationError):
+            session.preview_batch(removals=[(first, second), (third,)])
+        with pytest.raises(ConfigurationError):
+            session.preview_batch(removals=[()])
+
     def test_forced_fallback_yields_from_scratch_deltas(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2,
                                   fallback_row_fraction=0.0)

@@ -1,9 +1,15 @@
 """Property-based tests for the distance engines."""
 
+from contextlib import ExitStack
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.distance import available_engines, bounded_distance_matrix
+from repro.graph.distance_delta import DistanceSession
+from repro.graph.distance_store import StoreConfig
 from repro.graph.matrices import unreachable_value
 from tests.property.strategies import graphs, graphs_with_edge, length_bounds
 
@@ -67,3 +73,112 @@ class TestDistanceMatrixProperties:
         assert (loose[visible] == tight[visible]).all()
         newly_visible = (tight == tight_sentinel) & (loose != loose_sentinel)
         assert (loose[newly_visible] == length_bound + 1).all()
+
+
+@st.composite
+def removal_combinations(draw, max_combinations: int = 6):
+    """A graph, a combination size k ∈ {2, 3} and k-edge removal candidates.
+
+    Every combination holds k distinct edges of the graph.  When some vertex
+    has k incident edges, one combination is drawn from them, so edges that
+    share an endpoint are covered; every endpoint is itself an affected
+    source row of its combination's slab.
+    """
+    graph = draw(graphs(min_vertices=4, max_vertices=12, edge_probability=0.45))
+    size = draw(st.sampled_from([2, 3]))
+    for u, v in ((0, 1), (1, 2), (2, 3)):
+        if graph.num_edges < size and not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    edges = graph.edge_list()
+    indices = st.lists(st.integers(0, len(edges) - 1), min_size=size,
+                       max_size=size, unique=True)
+    combos = [tuple(edges[i] for i in draw(indices))
+              for _ in range(draw(st.integers(1, max_combinations)))]
+    stars = [vertex for vertex in range(graph.num_vertices)
+             if graph.degree(vertex) >= size]
+    if stars and draw(st.booleans()):
+        center = draw(st.sampled_from(stars))
+        incident = [edge for edge in edges if center in edge]
+        combos.append(tuple(draw(st.permutations(incident))[:size]))
+    return graph, combos
+
+
+def _materialize(session: DistanceSession, delta) -> np.ndarray:
+    if delta.from_scratch:
+        return delta.new_rows
+    matrix = session.distances.copy()
+    matrix[delta.rows, :] = delta.new_rows
+    matrix[:, delta.rows] = delta.new_rows.T
+    return matrix
+
+
+class TestStackedCombinationRemovals:
+    """The k-edge removal slab of ``preview_batch`` against sequential previews."""
+
+    @given(removal_combinations(), st.sampled_from([2, 3]),
+           st.sampled_from([None, 0.0, 1.0]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_combinations_match_sequential_previews(
+            self, case, length, fallback, tiny_caps):
+        graph, combos = case
+        sequential = DistanceSession(graph.copy(), length,
+                                     fallback_row_fraction=fallback)
+        expected = [sequential.preview(removals=combo) for combo in combos]
+        batch = DistanceSession(graph, length, fallback_row_fraction=fallback)
+        edges_before = graph.edge_set()
+        with ExitStack() as stack:
+            if tiny_caps:
+                for cap in ("_batch_slab_row_cap", "_batch_candidate_cap"):
+                    stack.enter_context(patch.object(
+                        DistanceSession, cap, lambda self: 1))
+            observed = batch.preview_batch(removals=combos)
+        assert graph.edge_set() == edges_before
+        assert len(observed) == len(combos)
+        for combo, got, want in zip(combos, observed, expected):
+            assert got.removals == want.removals == tuple(combo)
+            assert got.from_scratch == want.from_scratch
+            assert got.from_scratch == (fallback == 0.0)
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.new_rows, want.new_rows)
+            assert got.new_rows.dtype == want.new_rows.dtype
+            edited = graph.copy()
+            for edge in combo:
+                edited.remove_edge(*edge)
+            assert np.array_equal(_materialize(batch, got),
+                                  bounded_distance_matrix(edited, length))
+
+    @given(removal_combinations(), st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_tier_matches_dense_tier(self, case, length):
+        graph, combos = case
+        dense = DistanceSession(graph.copy(), length).preview_batch(
+            removals=combos)
+        tiled_config = StoreConfig(tier="tiled", budget_bytes=1 << 12,
+                                   tile_rows=3)
+        tiled_session = DistanceSession(graph, length, store_config=tiled_config)
+        try:
+            tiled = tiled_session.preview_batch(removals=combos)
+        finally:
+            tiled_session.close()
+        for got, want in zip(tiled, dense):
+            assert got.removals == want.removals
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.new_rows, want.new_rows)
+
+    @given(removal_combinations(), st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_fused_scan_skips_exactly_the_flipless_combinations(self, case,
+                                                               length):
+        graph, combos = case
+        session = DistanceSession(graph.copy(), length)
+        plain = session.preview_batch(removals=combos)
+        fused = DistanceSession(graph, length).preview_batch(
+            removals=combos, skip_unchanged=True)
+        for got, want in zip(fused, plain):
+            flips = ((want.new_rows <= length)
+                     != (session.rows(want.rows) <= length)).any()
+            if got is None:
+                assert not flips
+            else:
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.new_rows, want.new_rows)

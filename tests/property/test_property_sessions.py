@@ -163,6 +163,31 @@ class TestEndToEndModeEquivalence:
             EdgeRemovalInsertionAnonymizer,
             dict(length_threshold=2, theta=theta, seed=seed), graph)
 
+    # Look-ahead levels >= 2 stream their k-edge combinations through the
+    # stacked removal slab in batched mode; a cap of 3 combinations per
+    # level also exercises the sampled-combination path.
+    @given(graphs(max_vertices=9, edge_probability=0.45),
+           st.sampled_from([2, 3]), thetas,
+           st.integers(min_value=0, max_value=3), st.sampled_from([3, 100_000]))
+    @settings(max_examples=20, deadline=None)
+    def test_edge_removal_lookahead_runs_identically(self, graph, lookahead,
+                                                     theta, seed, cap):
+        self._assert_identical(
+            EdgeRemovalAnonymizer,
+            dict(length_threshold=2, lookahead=lookahead, theta=theta,
+                 seed=seed, max_combinations=cap), graph)
+
+    @given(graphs(max_vertices=8, edge_probability=0.45),
+           st.sampled_from([2, 3]), thetas,
+           st.integers(min_value=0, max_value=3), st.sampled_from([3, 100_000]))
+    @settings(max_examples=15, deadline=None)
+    def test_edge_removal_insertion_lookahead_runs_identically(
+            self, graph, lookahead, theta, seed, cap):
+        self._assert_identical(
+            EdgeRemovalInsertionAnonymizer,
+            dict(length_threshold=2, lookahead=lookahead, theta=theta,
+                 seed=seed, max_combinations=cap), graph)
+
     @given(graphs(max_vertices=8), thetas, st.integers(min_value=0, max_value=3))
     @settings(max_examples=15, deadline=None)
     def test_gaded_max_runs_identically(self, graph, theta, seed):
