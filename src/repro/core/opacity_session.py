@@ -36,13 +36,16 @@ look-ahead level's k-edge removal combinations) into one
 :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass and
 tallies every candidate with a single grouped bincount — the ``"batched"``
 scan mode of the algorithms (DESIGN.md §7), bit-identical to the
-per-candidate loop.  The session also maintains the pruning pass's
-within-L violating-pair mask incrementally (:meth:`violating_pair_indices`).
+per-candidate loop.  Every candidate is then summarized against one
+:class:`RatioOrder` of the current per-type ratios, so its exact maximum
+and tie count cost O(types it changes); the float total is left lazy and
+computed per batch only when read (GADED-Max).  The session also maintains
+the pruning pass's within-L violating-pair mask incrementally
+(:meth:`violating_pair_indices`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,23 +98,211 @@ def validate_scan_mode(mode: str) -> None:
             f"unknown scan_mode {mode!r}; available: {SCAN_MODES}")
 
 
-@dataclass(frozen=True)
 class EditEvaluation:
     """Outcome of one tentative edit — exactly what the candidate scans need.
 
-    ``total_opacity`` is the float sum of per-type opacities in typing order
-    (GADED-Max's secondary objective), accumulated identically to the
-    stateless evaluator's ``sum(entry.opacity for entry in per_type)``.
+    ``fraction`` is the exact ``maxLO`` after the edit and ``types_at_max``
+    the number of types attaining it.  ``total_opacity`` is the float sum
+    of per-type opacities in typing order (GADED-Max's secondary
+    objective), accumulated left to right over the stateless evaluator's
+    ``per_type`` entries.  It is computed lazily: the evaluations of one
+    summarized batch share one :class:`_BatchTotals`, and the first read of
+    any member's total computes the whole batch's totals in one vectorized
+    pass, so scans that never read it (rem, rem-ins) never pay for it.
+    Equality compares all three values.
     """
 
-    fraction: Fraction
-    types_at_max: int
-    total_opacity: float
+    __slots__ = ("fraction", "types_at_max", "_total", "_batch", "_position")
+
+    def __init__(self, fraction: Fraction, types_at_max: int,
+                 total_opacity: Optional[float] = None,
+                 batch: Optional["_BatchTotals"] = None,
+                 position: int = 0) -> None:
+        self.fraction = fraction
+        self.types_at_max = types_at_max
+        self._total = total_opacity
+        self._batch = batch
+        self._position = position
+
+    @property
+    def total_opacity(self) -> float:
+        """Float sum of per-type opacities after the edit (GADED-Max key)."""
+        if self._total is None:
+            self._total = self._batch.total(self._position)
+            self._batch = None
+        return self._total
 
     @property
     def max_opacity(self) -> float:
         """``maxLO`` after the edit, as a float."""
         return float(self.fraction)
+
+    def _key(self) -> Tuple[Fraction, int, float]:
+        return (self.fraction, self.types_at_max, self.total_opacity)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EditEvaluation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"EditEvaluation(fraction={self.fraction!r}, "
+                f"types_at_max={self.types_at_max!r}, "
+                f"total_opacity={self.total_opacity!r})")
+
+
+class _BatchTotals:
+    """The total opacities of one summarized batch, computed on first read.
+
+    Holds the base per-type counts (never mutated: :meth:`OpacitySession.
+    apply_edit` replaces the array) and the batch's change dicts.  The
+    float ratio matrix is tiled for the whole batch and summed with
+    ``cumsum``, which accumulates element by element, left to right, like
+    the scratch reference.
+    """
+
+    __slots__ = ("_withins", "_totals", "_changes", "_values")
+
+    def __init__(self, withins: np.ndarray, totals: np.ndarray,
+                 changes_list: List[Dict[int, int]]) -> None:
+        self._withins = withins
+        self._totals = totals
+        self._changes = changes_list
+        self._values: Optional[List[float]] = None
+
+    def total(self, position: int) -> float:
+        if self._values is None:
+            self._values = self._compute()
+            self._changes = None
+        return self._values[position]
+
+    def _compute(self) -> List[float]:
+        count = len(self._changes)
+        if self._withins.size == 0:
+            return [0.0] * count
+        withins = np.tile(self._withins, (count, 1))
+        for row, changes in enumerate(self._changes):
+            for index, change in changes.items():
+                withins[row, index] += change
+        ratios = withins / self._totals[None, :]
+        return np.cumsum(ratios, axis=1)[:, -1].tolist()
+
+
+class RatioOrder:
+    """Exact ``max`` / tie summaries of per-type ratios under sparse changes.
+
+    Built once per base state (``withins[t] / totals[t]`` per type ``t``):
+    the types sorted by exact ratio, descending, and grouped by equal exact
+    ratio, with every group's size and reduced ratio and every type's
+    group.  A candidate that changes a few types' counts is then summarized
+    in O(types it changes): the largest *unchanged* ratio is the first
+    group the candidate's changed types do not exhaust, its tie count is
+    that group's size minus the candidate's changed members in it, and each
+    changed type's new ratio is merged in by integer cross-multiplication
+    (the ordering ``Fraction`` induces).  The result equals a full
+    ``Fraction`` scan over every type.
+
+    The order is built with one ``argsort`` of the float ratios.
+    Correctly-rounded float division is monotone, so only float-equal
+    neighbours can be out of exact order; such runs are split by reduced
+    numerator/denominator and re-sorted exactly when they hold distinct
+    exact ratios (counts beyond 2**40 can make that happen).
+    """
+
+    __slots__ = ("_withins", "_totals", "_within_list", "_total_list",
+                 "_group_of", "_sizes", "_nums", "_dens")
+
+    def __init__(self, withins: np.ndarray, totals: np.ndarray) -> None:
+        self._withins = withins
+        self._totals = totals
+        self._within_list: List[int] = withins.tolist()
+        self._total_list: List[int] = totals.tolist()
+        if withins.size == 0:
+            self._group_of: List[int] = []
+            self._sizes: List[int] = []
+            self._nums: List[int] = []
+            self._dens: List[int] = []
+            return
+        ratios = withins / totals
+        order = np.argsort(-ratios, kind="stable")
+        ratios = ratios[order]
+        divisor = np.gcd(withins, totals)[order]
+        nums = withins[order] // divisor
+        dens = totals[order] // divisor
+        float_split = ratios[1:] != ratios[:-1]
+        exact_split = (nums[1:] != nums[:-1]) | (dens[1:] != dens[:-1])
+        if (exact_split & ~float_split).any():
+            order, nums, dens = self._sort_float_runs(order, nums, dens,
+                                                      float_split, exact_split)
+            exact_split = (nums[1:] != nums[:-1]) | (dens[1:] != dens[:-1])
+        group = np.concatenate(([0], np.cumsum(exact_split)))
+        group_of = np.empty(order.size, dtype=np.int64)
+        group_of[order] = group
+        firsts = np.concatenate(([0], np.nonzero(exact_split)[0] + 1))
+        self._group_of = group_of.tolist()
+        self._sizes = np.bincount(group).tolist()
+        self._nums = nums[firsts].tolist()
+        self._dens = dens[firsts].tolist()
+
+    @staticmethod
+    def _sort_float_runs(order: np.ndarray, nums: np.ndarray, dens: np.ndarray,
+                         float_split: np.ndarray, exact_split: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Re-sort, by exact ratio, every float-equal run of distinct ratios."""
+        bounds = np.concatenate(([0], np.nonzero(float_split)[0] + 1,
+                                 [order.size])).tolist()
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if not exact_split[start:stop - 1].any():
+                continue
+            run = sorted(range(start, stop),
+                         key=lambda p: Fraction(int(nums[p]), int(dens[p])),
+                         reverse=True)
+            order[start:stop] = order[run]
+            nums[start:stop] = nums[run]
+            dens[start:stop] = dens[run]
+        return order, nums, dens
+
+    def summarize(self, changes_list: List[Dict[int, int]]
+                  ) -> List[EditEvaluation]:
+        """One :class:`EditEvaluation` per change dict (type index → delta).
+
+        Totals are not computed here: the returned evaluations share one
+        lazy :class:`_BatchTotals`.
+        """
+        batch = _BatchTotals(self._withins, self._totals, changes_list)
+        group_of, sizes = self._group_of, self._sizes
+        nums, dens = self._nums, self._dens
+        withins, totals = self._within_list, self._total_list
+        groups = len(sizes)
+        evaluations = []
+        for position, changes in enumerate(changes_list):
+            touched: Dict[int, int] = {}
+            for index in changes:
+                group = group_of[index]
+                touched[group] = touched.get(group, 0) + 1
+            group = 0
+            while group < groups and touched.get(group, 0) == sizes[group]:
+                group += 1
+            if group < groups:
+                best_num, best_den = nums[group], dens[group]
+                ties = sizes[group] - touched.get(group, 0)
+            else:
+                best_num, best_den, ties = 0, 1, 0
+            for index, change in changes.items():
+                num = withins[index] + change
+                den = totals[index]
+                ordering = num * best_den - best_num * den
+                if ordering > 0:
+                    best_num, best_den, ties = num, den, 1
+                elif ordering == 0:
+                    ties += 1
+            evaluations.append(EditEvaluation(
+                Fraction(best_num, best_den), ties, batch=batch,
+                position=position))
+        return evaluations
 
 
 class OpacitySession:
@@ -280,8 +471,7 @@ class OpacitySession:
         if self._mode == "scratch":
             return self._scratch_evaluate(removals, insertions)
         delta = self._distance.preview(removals, insertions)
-        changes = self._count_changes(delta)
-        return self._summarize(changes)
+        return self._summarize([self._count_changes(delta)])[0]
 
     def evaluate_edits(self, candidates: Sequence[EditCandidate]) -> List[EditEvaluation]:
         """Outcomes of many *independent* tentative edits, batch-evaluated.
@@ -306,11 +496,11 @@ class OpacitySession:
             # At L = 1 the within-L pairs are exactly the edges, so a
             # candidate's flipped cells are its edited edges themselves —
             # no distance delta is needed at all, only a count tally.
-            return self._summarize_batch([self._l1_changes(removals, insertions)
+            return self._summarize([self._l1_changes(removals, insertions)
                                           for removals, insertions in pairs])
         if self._use_parallel_scan(pairs):
-            return self._summarize_batch(self._parallel_changes(pairs))
-        return self._summarize_batch(self._collect_changes(pairs))
+            return self._summarize(self._parallel_changes(pairs))
+        return self._summarize(self._collect_changes(pairs))
 
     def collect_edit_changes(self, pairs: Sequence[EditCandidate]
                              ) -> List[Dict[int, int]]:
@@ -438,9 +628,13 @@ class OpacitySession:
             if self._within_pairs is not None and cells is not None:
                 self._update_pair_mask(*cells)
         self._distance.commit(delta)
+        # A fresh array: lazy batch totals keep reading the old counts.
+        withins = self._withins.copy()
         for index, change in changes.items():
-            self._withins[index] += change
+            withins[index] += change
+        self._withins = withins
         self._current = None
+        self._ratio_order = None
         if self._scan_pool is not None \
                 and not self._scan_pool.apply(removals, insertions):
             self._teardown_scan_pool(failed=True)
@@ -555,7 +749,11 @@ class OpacitySession:
                 self._graph.remove_edge(u, v)
             for u, v in removals:
                 self._graph.add_edge(u, v)
-        total = float(sum(entry.opacity for entry in outcome.per_type.values()))
+        # Left to right, like the incremental ``cumsum`` (``sum`` of floats
+        # is compensated from Python 3.12 on).
+        total = 0.0
+        for entry in outcome.per_type.values():
+            total += entry.opacity
         return EditEvaluation(fraction=outcome.max_fraction,
                               types_at_max=outcome.types_at_max,
                               total_opacity=total)
@@ -586,39 +784,7 @@ class OpacitySession:
         self._type_index: Dict[TypeKey, int] = {
             key: index for index, key in enumerate(type_keys)}
         self._current = None
-
-    def _summarize(self, changes: Dict[int, int]) -> EditEvaluation:
-        """Max/tie/total scan over the per-type counts with ``changes`` applied.
-
-        Exactness without per-type ``Fraction`` objects: correctly-rounded
-        float division is monotone, so the exact maximum must live among the
-        types whose float ratio equals the float maximum; only those few are
-        compared by integer cross-multiplication (the ordering ``Fraction``
-        induces), and only they can tie the exact maximum.  The float total
-        accumulates left-to-right like the stateless evaluator's
-        ``sum(entry.opacity ...)``, so GADED-Max sees bit-identical keys.
-        """
-        withins = self._withins
-        if changes:
-            withins = withins.copy()
-            for index, change in changes.items():
-                withins[index] += change
-        if withins.size == 0:
-            return EditEvaluation(fraction=Fraction(0), types_at_max=0,
-                                  total_opacity=0.0)
-        ratios = withins / self._totals
-        total = sum(ratios.tolist())
-        candidates = np.nonzero(ratios == ratios.max())[0].tolist()
-        best_num, best_den = 0, 1
-        for index in candidates:
-            num = int(withins[index])
-            den = int(self._totals[index])
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-        ties = sum(1 for index in candidates
-                   if int(withins[index]) * best_den == best_num * int(self._totals[index]))
-        return EditEvaluation(fraction=Fraction(best_num, best_den),
-                              types_at_max=ties, total_opacity=float(total))
+        self._ratio_order: Optional[RatioOrder] = None
 
     def _l1_changes(self, removals: Sequence[Edge],
                     insertions: Sequence[Edge]) -> Dict[int, int]:
@@ -832,52 +998,14 @@ class OpacitySession:
             changes_list[position][index] = int(net[position, code_pos])
         return [changes if changes is not None else {} for changes in changes_list]
 
-    def _summarize_batch(self, changes_list: List[Dict[int, int]]
+    def _summarize(self, changes_list: List[Dict[int, int]]
                          ) -> List[EditEvaluation]:
-        """:meth:`_summarize` across candidates without per-candidate passes.
+        """Exact max/tie summaries of every candidate, totals left lazy.
 
-        The float ratio matrix, its row maxima, and the left-to-right float
-        totals (``cumsum`` accumulates element by element, exactly like the
-        stateless evaluator's ``sum``) are computed for all candidates at
-        once; only the exact cross-multiplied refinement of each row's few
-        float-argmax columns stays scalar.  Bit-identical to mapping
-        :meth:`_summarize` over ``changes_list``.
+        The :class:`RatioOrder` of the current counts is built on the first
+        summary after an applied edit and reused by every scan until the
+        next one, so a candidate costs O(types it changes).
         """
-        if self._withins.size == 0:
-            return [EditEvaluation(fraction=Fraction(0), types_at_max=0,
-                                   total_opacity=0.0)
-                    for _ in changes_list]
-        count = len(changes_list)
-        if count == 0:
-            return []
-        withins = np.tile(self._withins, (count, 1))
-        for row, changes in enumerate(changes_list):
-            for index, change in changes.items():
-                withins[row, index] += change
-        ratios = withins / self._totals[None, :]
-        totals = np.cumsum(ratios, axis=1)[:, -1]
-        at_max = ratios == ratios.max(axis=1)[:, None]
-        tie_rows, tie_cols = np.nonzero(at_max)
-        rows_list = tie_rows.tolist()
-        nums = withins[tie_rows, tie_cols].tolist()
-        dens = self._totals[tie_cols].tolist()
-        totals_list = totals.tolist()
-        evaluations: List[Optional[EditEvaluation]] = [None] * count
-        best_num, best_den, ties, current = 0, 1, 0, -1
-        for row, num, den in zip(rows_list, nums, dens):
-            if row != current:
-                if current >= 0:
-                    evaluations[current] = EditEvaluation(
-                        fraction=Fraction(best_num, best_den),
-                        types_at_max=ties,
-                        total_opacity=totals_list[current])
-                best_num, best_den, ties, current = 0, 1, 0, row
-            ordering = num * best_den - best_num * den
-            if ordering > 0:
-                best_num, best_den, ties = num, den, 1
-            elif ordering == 0:
-                ties += 1
-        evaluations[current] = EditEvaluation(
-            fraction=Fraction(best_num, best_den), types_at_max=ties,
-            total_opacity=totals_list[current])
-        return evaluations  # type: ignore[return-value]
+        if self._ratio_order is None:
+            self._ratio_order = RatioOrder(self._withins, self._totals)
+        return self._ratio_order.summarize(changes_list)

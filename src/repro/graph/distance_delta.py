@@ -18,8 +18,12 @@ plus their new values — without a from-scratch recomputation:
 * **Insertion** of ``{u, v}``: distances only shrink, and every improved
   path decomposes as ``i → u — v → j`` (or the mirror image) with legs that
   avoid the new edge, so the new rows follow from the *old* matrix by the
-  vectorized relaxation ``min(D[i, j], D[i, u] + 1 + D[v, j],
-  D[i, v] + 1 + D[u, j])``, truncated at L.  Exact, no graph traversal.
+  relaxation ``min(D[i, j], D[i, u] + 1 + D[v, j], D[i, v] + 1 + D[u, j])``,
+  truncated at L.  A term can only win where it is ≤ L, so row ``i`` is
+  relaxed only over the ``(L - 1 - D[i, u])``-ball of ``v`` and the
+  ``(L - 1 - D[i, v])``-ball of ``u``, enumerated from a distance-sorted
+  gather of the endpoint's row; the rows keep the store dtype.  Exact, no
+  graph traversal.
 * **Removal** of ``{u, v}``: distances only grow, and a row ``i`` can only
   change when some shortest path from ``i`` crosses the edge, which forces
   ``|D[i, u] - D[i, v]| = 1`` and ``min(D[i, u], D[i, v]) ≤ L - 1``.  The
@@ -50,7 +54,7 @@ candidates* of the same kind in one stacked pass: all removal candidates —
 single edges or look-ahead combinations of k edges each — share one
 ``|rows_total| × n`` slab recompute (with per-row corrections for each of
 the candidate's removed edges; a single edge is the k = 1 case), and all
-single-edge insertion candidates share one broadcast relaxation.  The
+single-edge insertion candidates share one ball-restricted relaxation.  The
 batch yields the same deltas as the equivalent sequence of :meth:`preview`
 calls and leaves the same graph-mutation order behind; only the routing
 between slab and from-scratch recompute (two value-identical paths) is
@@ -496,7 +500,7 @@ class DistanceSession:
         bit-identical to ``[preview(removals=c) for c in removals] +
         [preview(insertions=[e]) for e in insertions]``, but all removal
         candidates share a single ``|rows_total| × n`` slab recompute and
-        all insertion candidates share a single broadcast relaxation,
+        all insertion candidates share a single ball-restricted relaxation,
         eliminating the per-candidate numpy call overhead that dominates
         the greedy scans.  (One routing difference: a combination trips
         the from-scratch fallback on its whole affected region, where
@@ -528,10 +532,12 @@ class DistanceSession:
     def _batch_slab_row_cap(self) -> int:
         """Rows per stacked pass, bounding the workspace to ~32 MB of int64.
 
-        On the tiled tier the cap is additionally bounded by the store's
-        byte budget: a stacked pass keeps ~16 bytes of frontier-expansion
-        workspace per slab cell (the int64 expansion counts plus the
-        boolean frontier/reached planes), so capping rows at
+        A removal pass keeps ~16 bytes of frontier-expansion workspace per
+        slab cell (the int64 expansion counts plus the boolean
+        frontier/reached planes); an insertion relax keeps one int64 index
+        triple per *relaxed* cell, at most one per slab cell and usually
+        far fewer (a ball, not a row).  On the tiled tier the cap is
+        additionally bounded by the store's byte budget: capping rows at
         ``budget // (16 n)`` keeps the scan's transient slabs inside the
         same envelope the tile cache honours — instead of densifying
         per-candidate slabs past ``scale_budget_bytes``.
@@ -766,7 +772,7 @@ class DistanceSession:
                               chunk: List[Tuple[int, np.ndarray]],
                               deltas: List[DistanceDelta | None],
                               skip_unchanged: bool) -> None:
-        """Relax one chunk's affected rows in a shared broadcast pass.
+        """Relax one chunk's affected rows in a shared ball-restricted pass.
 
         The single-edge relaxation of :meth:`_relax_insertion` applied to the
         stacked ``(candidate, row)`` pairs at once; the matrix is symmetric,
@@ -778,8 +784,6 @@ class DistanceSession:
                                        dtype=np.int64, count=len(chunk)), sizes)
         edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in chunk),
                                        dtype=np.int64, count=len(chunk)), sizes)
-        # Only the gathered slab rows are widened to int64 (the arithmetic
-        # must not wrap on sentinel + 1 + d), never the full matrix.
         old_block = self._store.rows(rows_cat)
         block = self._relax_rows_batch(old_block, edge_u, edge_v)
         changed_cat = (block != old_block).any(axis=1)
@@ -803,10 +807,12 @@ class DistanceSession:
                           edge_v: np.ndarray) -> np.ndarray:
         """Stacked single-edge relaxation of ``old_block``'s rows.
 
-        Rows are independent, so slabs beyond the row cap stream through
-        it in chunks — the int64 widening and the per-row endpoint gathers
-        (the pass's transient workspace) stay bounded by the cap while the
-        result is bit-identical.
+        Each chunk gathers its unique far endpoints' rows once and relaxes
+        a copy of the old rows only over their balls (:meth:`_relax_balls`),
+        in the store dtype.  Rows are independent, so slabs beyond the row
+        cap stream through it in chunks — the endpoint gathers and the
+        per-relaxed-cell index arrays (the pass's transient workspace) stay
+        bounded by the cap while the result is bit-identical.
         """
         cap = self._batch_slab_row_cap()
         if old_block.shape[0] > cap:
@@ -819,20 +825,67 @@ class DistanceSession:
 
     def _relax_rows_chunk(self, old_block: np.ndarray, edge_u: np.ndarray,
                           edge_v: np.ndarray) -> np.ndarray:
-        block = old_block.astype(np.int64)
-        within = np.arange(old_block.shape[0])
-        du_values = block[within, edge_u]
-        dv_values = block[within, edge_v]
-        np.minimum(block,
-                   (du_values + 1)[:, None]
-                   + self._store.rows(edge_v).astype(np.int64),
-                   out=block)
-        np.minimum(block,
-                   (dv_values + 1)[:, None]
-                   + self._store.rows(edge_u).astype(np.int64),
-                   out=block)
-        block[block > self._length] = self._store.sentinel
-        return block.astype(self._store.dtype)
+        count = old_block.shape[0]
+        within = np.arange(count)
+        far, far_index = np.unique(np.concatenate([edge_v, edge_u]),
+                                   return_inverse=True)
+        balls = self._far_balls(self._store.rows(far))
+        block = old_block.copy()
+        self._relax_balls(block, old_block[within, edge_u], balls,
+                          far_index[:count])
+        self._relax_balls(block, old_block[within, edge_v], balls,
+                          far_index[count:])
+        return block
+
+    def _far_balls(self, far_rows: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The (L-1)-balls of far endpoints, columns sorted by distance.
+
+        ``far_rows`` holds one distance row per far endpoint.  Returns
+        ``(columns, distances, starts, ends)``: endpoint ``f``'s ball of
+        radius ``r`` is ``columns[starts[f]:starts[f] + ends[f, r]]``, with
+        the matching ``distances``.
+        """
+        reach = self._length
+        owner, columns = np.nonzero(far_rows <= reach - 1)
+        distances = far_rows[owner, columns].astype(np.int64)
+        key = owner * reach + distances
+        order = np.argsort(key, kind="stable")
+        counts = np.bincount(key, minlength=far_rows.shape[0] * reach
+                             ).reshape(far_rows.shape[0], reach)
+        sizes = counts.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        return columns[order], distances[order], starts, np.cumsum(counts,
+                                                                   axis=1)
+
+    def _relax_balls(self, block: np.ndarray, near: np.ndarray,
+                     balls: Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray],
+                     far_index: np.ndarray) -> None:
+        """Relax ``block`` in place through one orientation of the new edge.
+
+        Row ``i`` sits at distance ``near[i]`` from the near endpoint; the
+        new edge can only lower its cells ``b`` with ``near[i] + 1 +
+        d(far, b) <= L``, i.e. the ``(L - 1 - near[i])``-ball of the far
+        endpoint ``far_index[i]``, so only those cells are gathered and
+        compared.  Relaxed values are at most L, so no sentinel fix-up is
+        needed and the block keeps its dtype.
+        """
+        columns, distances, starts, ends = balls
+        near = near.astype(np.int64)
+        live = np.nonzero(near <= self._length - 1)[0]
+        owner = far_index[live]
+        lengths = ends[owner, self._length - 1 - near[live]]
+        slab_row = np.repeat(live, lengths)
+        # Ragged ``arange``: row ``live[k]`` reads ``lengths[k]`` ball
+        # entries starting at its far endpoint's ``starts``.
+        offsets = np.cumsum(lengths) - lengths
+        flat = np.arange(int(lengths.sum())) \
+            + np.repeat(starts[owner] - offsets, lengths)
+        cells = columns[flat]
+        block[slab_row, cells] = np.minimum(block[slab_row, cells],
+                                            near[slab_row] + 1
+                                            + distances[flat])
 
     def stage(self, removals: Sequence[Edge] = (),
               insertions: Sequence[Edge] = ()) -> DistanceDelta:
@@ -1054,25 +1107,20 @@ class DistanceSession:
                          dv: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """New values of ``rows`` after inserting the edge between the columns.
 
-        ``base`` holds the pre-insertion values of ``rows``; only rows within
-        L - 1 of an endpoint can gain a new ≤L path, and their new values
-        follow from the single-edge relaxation (every improved shortest path
-        is simple, so it crosses the new edge exactly once).  Oversized row
-        sets stream through the row cap in chunks (rows are independent),
-        bounding the int64 widening workspace.
+        ``base`` holds the pre-insertion values of ``rows`` and is relaxed
+        in place; only rows within L - 1 of an endpoint can gain a new ≤L
+        path, and their new values follow from the single-edge relaxation
+        (every improved shortest path is simple, so it crosses the new edge
+        exactly once), restricted to the endpoints' balls as in
+        :meth:`_relax_balls`.  Rows stream through the row cap in chunks,
+        bounding the per-cell index workspace.
         """
+        balls = self._far_balls(np.stack([dv, du]))
         cap = self._batch_slab_row_cap()
-        if rows.size > cap:
-            return np.concatenate(
-                [self._relax_insertion_chunk(base[start:start + cap], du, dv,
-                                             rows[start:start + cap])
-                 for start in range(0, rows.size, cap)], axis=0)
-        return self._relax_insertion_chunk(base, du, dv, rows)
-
-    def _relax_insertion_chunk(self, base: np.ndarray, du: np.ndarray,
-                               dv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        block = base.astype(np.int64)
-        np.minimum(block, (du[rows] + 1)[:, None] + dv[None, :], out=block)
-        np.minimum(block, (dv[rows] + 1)[:, None] + du[None, :], out=block)
-        block[block > self._length] = self._store.sentinel
-        return block.astype(self._store.dtype)
+        for start in range(0, rows.size, cap):
+            chunk = rows[start:start + cap]
+            block = base[start:start + cap]
+            far_v = np.zeros(chunk.size, dtype=np.int64)
+            self._relax_balls(block, du[chunk], balls, far_v)
+            self._relax_balls(block, dv[chunk], balls, far_v + 1)
+        return base

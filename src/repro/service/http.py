@@ -23,8 +23,9 @@ GET       ``/healthz``             Liveness probe.
 Malformed JSON, unknown job kinds, and invalid request payloads
 (:class:`~repro.errors.ReproError`) all map to HTTP 400 with
 ``{"error": ...}`` — one bad client never takes the server down — and any
-other failure while handling a ``POST`` (a store error, say) answers 500
-with the same shape instead of dropping the connection.  The
+other failure while handling a request of any method (a store error, say)
+is logged and answers 500 with the same shape instead of dropping the
+connection.  The
 server is a ``ThreadingHTTPServer`` (one thread per connection, daemon
 threads); all state lives in the shared :class:`~repro.service.jobs.JobManager`
 / :class:`~repro.service.store.RunStore` pair, which are thread-safe.
@@ -89,7 +90,27 @@ def make_handler(manager: JobManager, store: RunStore) -> type:
         # --------------------------------------------------------------
         # methods
         # --------------------------------------------------------------
+        def _answer(self, method: str, handler) -> None:
+            """Run ``handler``; an unexpected error is logged and answers 500."""
+            try:
+                handler()
+            except Exception as exc:  # noqa: BLE001 — answer, never drop
+                _LOG.exception("%s %s failed", method, self.path)
+                self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+        # --------------------------------------------------------------
+        # routes
+        # --------------------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 — http.server API
+            self._answer("GET", self._get)
+
+        def do_POST(self) -> None:  # noqa: N802 — http.server API
+            self._answer("POST", self._post)
+
+        def do_DELETE(self) -> None:  # noqa: N802 — http.server API
+            self._answer("DELETE", self._delete)
+
+        def _get(self) -> None:
             collection, item, action = self._route()
             if collection == "healthz" and item is None:
                 self._send(200, {"ok": True})
@@ -127,7 +148,7 @@ def make_handler(manager: JobManager, store: RunStore) -> type:
                 return
             self._send(404, {"error": f"unknown path {self.path!r}"})
 
-        def do_POST(self) -> None:  # noqa: N802 — http.server API
+        def _post(self) -> None:
             collection, item, action = self._route()
             try:
                 if collection == "jobs" and item is None:
@@ -160,11 +181,8 @@ def make_handler(manager: JobManager, store: RunStore) -> type:
             except (ReproError, ValueError, KeyError, TypeError,
                     json.JSONDecodeError) as exc:
                 self._send(400, {"error": f"{type(exc).__name__}: {exc}"})
-            except Exception as exc:  # noqa: BLE001 — answer, never drop
-                _LOG.exception("POST %s failed", self.path)
-                self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-        def do_DELETE(self) -> None:  # noqa: N802 — http.server API
+        def _delete(self) -> None:
             collection, item, action = self._route()
             if collection != "jobs" or item is None or action is not None:
                 self._send(404, {"error": f"unknown path {self.path!r}"})

@@ -18,6 +18,7 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
+from repro.core.opacity_session import _BatchTotals
 from repro.errors import ConfigurationError
 from repro.graph import Graph, erdos_renyi_graph
 
@@ -260,6 +261,56 @@ class TestEvaluateEdits:
             best = min(range(len(evaluations)),
                        key=lambda pos: evaluations[pos].fraction)
             session.apply_edit(*candidates[best])
+
+
+class TestLazyTotals:
+    """``total_opacity`` is computed per batch, and only when it is read."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Every batch whose totals get computed, in order."""
+        batches = []
+        original = _BatchTotals._compute
+
+        def recording(self):
+            batches.append(self)
+            return original(self)
+
+        monkeypatch.setattr(_BatchTotals, "_compute", recording)
+        return batches
+
+    @pytest.mark.parametrize("scan_mode", ["batched", "per_candidate"])
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_rem_ins_scans_compute_no_totals(self, computed, scan_mode,
+                                             length):
+        graph = erdos_renyi_graph(20, 0.25, seed=3)
+        result = EdgeRemovalInsertionAnonymizer(
+            length_threshold=length, theta=0.3, seed=0, max_steps=3,
+            insertion_candidate_cap=30, scan_mode=scan_mode).anonymize(graph)
+        assert result.evaluations > 0
+        assert computed == []
+
+    @pytest.mark.parametrize("scan_mode", ["batched", "per_candidate"])
+    def test_gaded_max_computes_each_batch_at_most_once(self, computed,
+                                                        scan_mode):
+        graph = erdos_renyi_graph(25, 0.2, seed=2)
+        result = GadedMaxAnonymizer(theta=0.4, seed=0,
+                                    scan_mode=scan_mode).anonymize(graph)
+        assert result.num_steps > 0
+        assert computed
+        assert len({id(batch) for batch in computed}) == len(computed)
+
+    def test_totals_read_after_an_apply_see_the_scanned_state(self):
+        graph = erdos_renyi_graph(14, 0.3, seed=5)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        candidates = [((edge,), ()) for edge in graph.edges()]
+        lazy = incremental.evaluate_edits(candidates)
+        incremental.apply_edit(*candidates[0])
+        assert [evaluation.total_opacity for evaluation in lazy] == \
+            [evaluation.total_opacity
+             for evaluation in scratch.evaluate_edits(candidates)]
 
 
 class TestViolatingPairIndices:

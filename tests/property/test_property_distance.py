@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
+from repro.graph.graph import Graph
 from repro.graph.matrices import unreachable_value
 from tests.property.strategies import graphs, graphs_with_edge, length_bounds
 
@@ -182,3 +183,95 @@ class TestStackedCombinationRemovals:
             else:
                 assert np.array_equal(got.rows, want.rows)
                 assert np.array_equal(got.new_rows, want.new_rows)
+
+
+@st.composite
+def insertion_batches(draw, max_insertions: int = 8):
+    """A graph of two disjoint parts plus single-edge insertion candidates.
+
+    One candidate always joins the two parts, so its relaxation lowers
+    cells that start at the unreachable sentinel.  Every candidate's
+    endpoints are themselves affected source rows (distance 0 ≤ L - 1).
+    """
+    left = draw(graphs(max_vertices=7))
+    right = draw(graphs(max_vertices=6))
+    offset = left.num_vertices
+    graph = Graph(offset + right.num_vertices,
+                  edges=left.edge_list() + [(u + offset, v + offset)
+                                            for u, v in right.edge_list()])
+    non_edges = sorted(graph.non_edges())
+    picks = draw(st.lists(st.integers(0, len(non_edges) - 1),
+                          max_size=max_insertions))
+    bridge = (draw(st.integers(0, offset - 1)),
+              draw(st.integers(offset, graph.num_vertices - 1)))
+    return graph, [bridge] + [non_edges[pick] for pick in picks]
+
+
+def full_width_relaxation(distances: np.ndarray, edge, length: int):
+    """Reference insertion relax: affected rows widened to int64, all columns.
+
+    ``min(D[a, b], D[a, u] + 1 + D[v, b], D[a, v] + 1 + D[u, b])`` over
+    every row within L - 1 of an endpoint, truncated at L; returns the rows
+    that change and their new values in the matrix dtype.
+    """
+    u, v = edge
+    matrix = distances.astype(np.int64)
+    rows = np.nonzero(np.minimum(matrix[:, u], matrix[:, v]) <= length - 1)[0]
+    block = np.minimum(matrix[rows],
+                       (matrix[rows, u] + 1)[:, None] + matrix[v][None, :])
+    block = np.minimum(block,
+                       (matrix[rows, v] + 1)[:, None] + matrix[u][None, :])
+    block[block > length] = unreachable_value(distances.dtype)
+    block = block.astype(distances.dtype)
+    changed = (block != distances[rows]).any(axis=1)
+    return rows[changed], block[changed]
+
+
+class TestBallRestrictedInsertionRelax:
+    """The restricted insertion relax against the full-width formula."""
+
+    @given(insertion_batches(), st.sampled_from([1, 2, 3, 4]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_batch_and_preview_match_full_width_relaxation(self, case, length,
+                                                           row_cap_one):
+        graph, edges = case
+        session = DistanceSession(graph, length)
+        before = session.distances.copy()
+        with ExitStack() as stack:
+            if row_cap_one:
+                stack.enter_context(patch.object(
+                    DistanceSession, "_batch_slab_row_cap", lambda self: 1))
+            batch = session.preview_batch(insertions=edges)
+            sequential = [session.preview(insertions=[edge]) for edge in edges]
+        assert np.array_equal(session.distances, before)
+        for edge, got, single in zip(edges, batch, sequential):
+            rows, new_rows = full_width_relaxation(before, edge, length)
+            for delta in (got, single):
+                assert delta.insertions == (edge,)
+                assert not delta.from_scratch
+                assert np.array_equal(delta.rows, rows)
+                assert np.array_equal(delta.new_rows, new_rows)
+                assert delta.new_rows.dtype == before.dtype
+            edited = graph.copy()
+            edited.add_edge(*edge)
+            assert np.array_equal(_materialize(session, got),
+                                  bounded_distance_matrix(edited, length))
+
+    @given(insertion_batches(), st.sampled_from([1, 2, 3, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_tier_matches_dense_tier(self, case, length):
+        graph, edges = case
+        dense = DistanceSession(graph.copy(), length).preview_batch(
+            insertions=edges)
+        tiled_config = StoreConfig(tier="tiled", budget_bytes=1 << 12,
+                                   tile_rows=3)
+        tiled_session = DistanceSession(graph, length, store_config=tiled_config)
+        try:
+            tiled = tiled_session.preview_batch(insertions=edges)
+        finally:
+            tiled_session.close()
+        for got, want in zip(tiled, dense):
+            assert got.insertions == want.insertions
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.new_rows, want.new_rows)
+            assert got.new_rows.dtype == want.new_rows.dtype

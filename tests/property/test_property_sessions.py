@@ -9,8 +9,10 @@ edit sequences across every distance engine and check exactly that.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
@@ -25,6 +27,7 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
+from repro.core.opacity_session import RatioOrder
 from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.graph import Graph
@@ -305,3 +308,89 @@ class TestEvaluateEditsProperties:
             assert got.from_scratch == want.from_scratch
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.new_rows, want.new_rows)
+
+
+#: A count base beyond 2**40: ``m / (q m + s)`` and ``(m + 1) / (q (m + 1) + s)``
+#: are float-equal yet exactly different for ``s > 0``.
+_HUGE = 2 ** 45 + 7
+
+
+@st.composite
+def ratio_scans(draw, max_types: int = 16, max_candidates: int = 6):
+    """Per-type ``(withins, totals)`` plus candidate change dicts.
+
+    Shapes: small counts; counts beyond 2**40 whose ratios are float-equal
+    but exactly different (or exactly ``1/q``, one big tie group); all
+    ratios zero.  Each candidate changes a random subset of types, every
+    type, or exactly the types of the top exact ratio, to new counts in
+    ``[0, total]`` (a zero change included).
+    """
+    shape = draw(st.sampled_from(["small", "huge", "zeros"]))
+    count = draw(st.integers(0, max_types))
+    withins, totals = [], []
+    for _ in range(count):
+        if shape == "huge":
+            base = _HUGE + draw(st.integers(0, 4))
+            q, s = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+            withins.append(base)
+            totals.append(q * base + s)
+        else:
+            total = draw(st.integers(1, 12))
+            totals.append(total)
+            withins.append(0 if shape == "zeros" else
+                           draw(st.integers(0, total)))
+    top = max((Fraction(w, t) for w, t in zip(withins, totals)), default=None)
+    candidates = []
+    for _ in range(draw(st.integers(0, max_candidates))):
+        subset = draw(st.sampled_from(["some", "all", "top"]))
+        if subset == "all":
+            touched = list(range(count))
+        elif subset == "top":
+            touched = [index for index in range(count)
+                       if Fraction(withins[index], totals[index]) == top]
+        else:
+            touched = draw(st.lists(st.integers(0, max(0, count - 1)),
+                                    unique=True)) if count else []
+        changes = {}
+        for index in touched:
+            within, total = withins[index], totals[index]
+            target = draw(st.sampled_from(
+                [0, total, within, max(0, within - 1), min(total, within + 1),
+                 draw(st.integers(0, total))]))
+            changes[index] = target - within
+        candidates.append(changes)
+    return withins, totals, candidates
+
+
+def brute_force_summary(withins, totals, changes):
+    """``Fraction`` max, its tie count and the left-to-right float total."""
+    counts = list(withins)
+    for index, change in changes.items():
+        counts[index] += change
+    ratios = [Fraction(within, total) for within, total in zip(counts, totals)]
+    best = max(ratios, default=Fraction(0))
+    total_opacity = 0.0
+    for within, total in zip(counts, totals):
+        total_opacity += within / total
+    return best, sum(1 for ratio in ratios if ratio == best), total_opacity
+
+
+class TestRatioOrderProperties:
+    """The sparse exact summarize against a ``Fraction`` brute force."""
+
+    @given(ratio_scans())
+    @example(([_HUGE, _HUGE + 1, _HUGE],
+              [3 * _HUGE + 1, 3 * _HUGE + 4, 3 * _HUGE + 1], [{}, {1: -1}]))
+    @example(([1, 1, 0], [2, 2, 2], [{0: -1}, {0: -1, 1: -1}, {2: 2}]))
+    @settings(max_examples=200, deadline=None)
+    def test_summaries_match_fraction_brute_force(self, case):
+        withins, totals, candidates = case
+        order = RatioOrder(np.asarray(withins, dtype=np.int64),
+                           np.asarray(totals, dtype=np.int64))
+        evaluations = order.summarize(candidates)
+        assert len(evaluations) == len(candidates)
+        for changes, evaluation in zip(candidates, evaluations):
+            best, ties, total = brute_force_summary(withins, totals, changes)
+            assert evaluation.fraction == best
+            assert evaluation.types_at_max == ties
+            assert evaluation.total_opacity == total

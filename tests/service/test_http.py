@@ -183,6 +183,30 @@ class TestErrorPaths:
         assert "OperationalError" in caught.value.payload["error"]
         assert client.health() == {"ok": True}  # the server survived
 
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/jobs"), ("GET", "/jobs/some-job/result"),
+        ("DELETE", "/jobs/some-job")])
+    def test_store_read_failure_answers_500_json(self, service, monkeypatch,
+                                                 caplog, method, path):
+        import sqlite3
+
+        client, store, _manager = service
+
+        def locked(*_args, **_kwargs):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(store, "get_job", locked)
+        monkeypatch.setattr(store, "list_jobs", locked)
+        with caplog.at_level("ERROR", logger="repro.service.http"):
+            with pytest.raises(ServiceError) as caught:
+                client._call(method, path)
+        assert caught.value.status == 500
+        assert caught.value.payload == {
+            "error": "OperationalError: database is locked"}
+        assert any(f"{method} {path} failed" in record.getMessage()
+                   for record in caplog.records)
+        assert client.health() == {"ok": True}  # the server survived
+
     def test_unknown_path_404(self, service):
         client, _store, _manager = service
         with pytest.raises(ServiceError) as caught:
