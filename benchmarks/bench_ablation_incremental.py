@@ -9,8 +9,8 @@ that cost:
   touch, while ``"scratch"`` recomputes the bounded matrix and the
   Algorithm 1 recount per candidate.
 * ``scan_mode`` — ``"batched"`` evaluates all single-edge candidates of a
-  greedy step in one stacked numpy pass (shared removal slab, grouped
-  bincount), while ``"per_candidate"`` previews them one at a time.
+  greedy step in one stacked numpy pass (shared sparse-cell removal repair,
+  grouped bincount), while ``"per_candidate"`` previews them one at a time.
 
 This bench measures candidate evaluations per second along both axes on the
 same workload and verifies every configuration chooses bit-identical edits.

@@ -6,8 +6,8 @@ significantly higher runtime, while Removal's runtime is affected only
 mildly.  This bench quantifies both effects on one workload.
 
 The L = 1 cases take the session's L = 1 tally path, which needs no
-distance deltas; the L = 2 case runs look-ahead level 2 through the stacked
-k-edge removal slab and pins it to the per-candidate scan.
+distance deltas; the L = 2 case runs look-ahead level 2 through the
+sparse-cell k-edge removal repair and pins it to the per-candidate scan.
 """
 
 import pytest

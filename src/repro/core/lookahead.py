@@ -9,8 +9,8 @@ single-size candidate found is returned so the greedy loop still progresses.
 
 With a batch hook (``scan_mode="batched"``) every level streams its
 combinations through the session's stacked scan: a level of k-edge removal
-combinations is previewed chunk by chunk in one k-edge removal slab (see
-:mod:`repro.graph.distance_delta`), bit-identical to previewing each
+combinations is previewed chunk by chunk in one sparse-cell removal repair
+(see :mod:`repro.graph.distance_delta`), bit-identical to previewing each
 combination on its own.
 """
 

@@ -34,7 +34,8 @@ Whole candidate scans go through :meth:`OpacitySession.evaluate_edits`,
 which stacks the distance deltas of all single-edge candidates (or of one
 look-ahead level's k-edge removal combinations) into one
 :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass and
-tallies every candidate with a single grouped bincount — the ``"batched"``
+tallies every candidate with a single grouped bincount (batched removals
+arrive as changed cells, tallied without any row gather) — the ``"batched"``
 scan mode of the algorithms (DESIGN.md §7), bit-identical to the
 per-candidate loop.  Every candidate is then summarized against one
 :class:`RatioOrder` of the current per-type ratios, so its exact maximum
@@ -46,6 +47,7 @@ the pruning pass's within-L violating-pair mask incrementally
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,6 +66,8 @@ from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
 from repro.graph.matrices import triu_pair_indices
 
+_LOG = logging.getLogger(__name__)
+
 #: Valid values of the ``evaluation_mode`` knob, service layer included.
 EVALUATION_MODES: Tuple[str, ...] = ("scratch", "incremental")
 
@@ -78,10 +82,6 @@ SCAN_MODES: Tuple[str, ...] = ("per_candidate", "batched", "parallel")
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
-
-#: Slab cells one group of k-edge removal combinations may stack (about
-#: 3 MB of frontier-expansion and count workspace, ~16-24 bytes a cell).
-_COMBO_GROUP_CELLS = 1 << 17
 
 
 def validate_evaluation_mode(mode: str) -> None:
@@ -322,8 +322,9 @@ class OpacitySession:
         ``"incremental"`` (delta evaluation) or ``"scratch"``
         (copy-evaluate-restore reference).
     fallback_row_fraction:
-        Passed to :class:`DistanceSession` — removal deltas touching more
-        than this fraction of rows fall back to a from-scratch matrix.
+        Passed to :class:`DistanceSession` — sequential removal previews
+        (applied edits, GADES swaps) touching more than this fraction of
+        rows fall back to a from-scratch matrix.
         ``None`` (default) derives and keeps recalibrating the fraction
         from measured density × L; the chosen value is routing-only and
         never changes results.
@@ -483,7 +484,7 @@ class OpacitySession:
         stacked :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
         pass and tallies every candidate's count deltas with a single grouped
         bincount over the stacked flipped cells.  Look-ahead combinations of
-        k removals share one stacked k-edge slab the same way; mixed
+        k removals share one sparse-cell removal repair the same way; mixed
         remove+insert candidates (GADES swaps) fall back to sequential
         previews but still share the grouped count stage.
         """
@@ -525,19 +526,13 @@ class OpacitySession:
                          ) -> List[Dict[int, int]]:
         # Deltas are consumed into (small) per-type change dicts group by
         # group, so peak retained memory is bounded by ~128 MB of delta
-        # cells even when many removal candidates hit the from-scratch
-        # fallback (each such delta holds a full n × n matrix); grouping
-        # changes neither the per-candidate math nor the mutation order.
+        # cells: a sequential preview (a mixed remove+insert swap) that
+        # hits the from-scratch fallback holds a full n × n matrix, and a
+        # stacked insertion delta its changed rows, while batched removal
+        # deltas are cell form.  Grouping changes neither the per-candidate
+        # math nor the mutation order.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
-        size = len(pairs[0][0]) if pairs and not pairs[0][1] else 0
-        if size > 1:
-            # A look-ahead level's k-edge combinations each stack the union
-            # of k single-edge row sets; hold a group's slab (and the count
-            # stage over it) to about _COMBO_GROUP_CELLS cells, sized from
-            # the affected rows observed per removed edge so far.
-            rows = size * max(1.0, self._distance.mean_affected_rows)
-            group = min(group, max(1, int(_COMBO_GROUP_CELLS / (rows * n))))
         changes: List[Dict[int, int]] = []
         for start in range(0, len(pairs), group):
             deltas = self._preview_deltas(pairs[start:start + group])
@@ -587,19 +582,22 @@ class OpacitySession:
                 self._distance.replay_scan_mutations(pairs)
                 self.parallel_scans += 1
                 return changes
-            self._teardown_scan_pool(failed=True)
+            self._teardown_scan_pool("a scan worker failed mid-scan")
         return self._collect_changes(pairs)
 
-    def _teardown_scan_pool(self, failed: bool) -> None:
+    def _teardown_scan_pool(self, failure: Optional[str] = None) -> None:
+        """Close the pool; a ``failure`` cause also retires it for good."""
         if self._scan_pool is not None:
             self._scan_pool.close()
             self._scan_pool = None
-        if failed:
+        if failure is not None:
+            _LOG.warning("scan pool torn down (%s); scanning serially from "
+                         "now on", failure)
             self._scan_failed = True
 
     def close(self) -> None:
         """Release pool workers and store resources (idempotent)."""
-        self._teardown_scan_pool(failed=False)
+        self._teardown_scan_pool()
         if self._distance is not None:
             self._distance.close()
 
@@ -637,7 +635,7 @@ class OpacitySession:
         self._ratio_order = None
         if self._scan_pool is not None \
                 and not self._scan_pool.apply(removals, insertions):
-            self._teardown_scan_pool(failed=True)
+            self._teardown_scan_pool("forwarding an applied edit failed")
 
     def resync(self) -> None:
         """Rebuild all incremental state from scratch (testing / recovery)."""
@@ -830,8 +828,6 @@ class OpacitySession:
         Returns a mapping from type *index* (position in the frozen typing
         order) to the signed change of its within-L pair count.
         """
-        if delta.rows.size == 0:
-            return {}
         if delta.from_scratch:
             new_counts = self._computer.within_counts(delta.new_rows)
             changes = {}
@@ -853,6 +849,9 @@ class OpacitySession:
         representative per unordered pair, or ``None`` when nothing flips.
         """
         length = self._computer.length_threshold
+        if delta.cells is not None:
+            _, row, col, gained = self._stacked_cell_flips([(0, delta)])
+            return (row, col, gained) if row.size else None
         rows = delta.rows
         old_within = self._distance.rows(rows) <= length
         new_within = delta.new_rows <= length
@@ -905,7 +904,8 @@ class OpacitySession:
 
         Removal-only lists whose candidates all remove the same number of
         edges (single edges, or one look-ahead level's combinations) share
-        one stacked slab, as do single-edge insertion lists; mixed
+        one sparse-cell repair (cell-form deltas), single-edge insertion
+        lists one stacked relaxation; mixed
         remove+insert edits (GADES swaps) take sequential previews.  The
         stacked paths run fused (``skip_unchanged=True``): candidates whose
         edit flips no distance cell come back as ``None`` instead of an
@@ -930,8 +930,10 @@ class OpacitySession:
                              ) -> List[Dict[int, int]]:
         """Per-candidate count changes, one grouped bincount over all flips.
 
-        Every candidate's flipped cells are extracted from one stacked
-        comparison over the concatenated delta rows and tallied in a single
+        Cell-form deltas (batched removals) contribute the cells that leave
+        L directly, without any row gather; row-form deltas' flipped cells
+        come from one stacked comparison over their concatenated rows
+        (:meth:`_stacked_row_flips`).  All of them are tallied in a single
         ``bincount`` over ``(candidate, type-code, sign)`` groups — the
         per-candidate results are exactly what :meth:`_count_changes`
         returns for each delta alone.  ``None`` entries (fused no-op
@@ -939,22 +941,76 @@ class OpacitySession:
         from-scratch fallbacks and non-degree typings take the
         per-candidate path.
         """
-        changes_list: List[Optional[Dict[int, int]]] = [None] * len(deltas)
+        changes_list: List[Dict[int, int]] = [{} for _ in deltas]
         batchable = isinstance(self._computer.typing, DegreePairTyping)
         stacked: List[Tuple[int, DistanceDelta]] = []
+        celled: List[Tuple[int, DistanceDelta]] = []
         for position, delta in enumerate(deltas):
-            if delta is None or delta.rows.size == 0:
-                changes_list[position] = {}
-            elif delta.from_scratch or not batchable:
+            if delta is None:
+                continue
+            if delta.from_scratch or not batchable:
                 changes_list[position] = self._count_changes(delta)
-            else:
+            elif delta.cells is not None:
+                celled.append((position, delta))
+            elif delta.rows.size:
                 stacked.append((position, delta))
-        if not stacked:
-            return [changes if changes is not None else {}
-                    for changes in changes_list]
-        for position, _ in stacked:
-            changes_list[position] = {}
-        typing = self._computer.typing
+        parts = [self._stacked_cell_flips(celled)] if celled else []
+        if stacked:
+            parts.append(self._stacked_row_flips(stacked))
+        if not parts:
+            return changes_list
+        candidate, row_idx, col_idx, gained = (np.concatenate(column)
+                                               for column in zip(*parts))
+        if candidate.size == 0:
+            return changes_list
+        encoded, span = encode_degree_pairs(self._computer.typing.degrees,
+                                            row_idx, col_idx)
+        codes, inverse = np.unique(encoded, return_inverse=True)
+        type_of_code = [self._type_index.get(decode_degree_pair(int(code), span))
+                        for code in codes]
+        grouped = (candidate * codes.size + inverse) * 2 + gained.astype(np.int64)
+        counts = np.bincount(grouped, minlength=len(deltas) * codes.size * 2)
+        net = counts.reshape(len(deltas), codes.size, 2)
+        net = net[:, :, 1].astype(np.int64) - net[:, :, 0]
+        positions, code_positions = np.nonzero(net)
+        for position, code_pos, change in zip(
+                positions.tolist(), code_positions.tolist(),
+                net[positions, code_positions].tolist()):
+            index = type_of_code[code_pos]
+            if index is None:
+                continue
+            changes_list[position][index] = change
+        return changes_list
+
+    def _stacked_cell_flips(self, celled: List[Tuple[int, DistanceDelta]]
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.ndarray]:
+        """``(candidate, row, col, gained)`` flips of cell-form deltas.
+
+        Every cell of a batched removal was within L and only grows, so it
+        flips — a loss — exactly when its new value passes L.
+        """
+        rows, cols, news = zip(*(delta.cells for _, delta in celled))
+        candidate = np.repeat(
+            np.fromiter((position for position, _ in celled), dtype=np.int64,
+                        count=len(celled)),
+            [row.size for row in rows])
+        lost = np.concatenate(news) > self._computer.length_threshold
+        return (candidate[lost], np.concatenate(rows)[lost],
+                np.concatenate(cols)[lost], np.zeros(int(lost.sum()), dtype=bool))
+
+    def _stacked_row_flips(self, stacked: List[Tuple[int, DistanceDelta]]
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+        """``(candidate, row, col, gained)`` flips of row-form deltas.
+
+        One stacked comparison over the concatenated delta rows.  Each
+        changed cell appears in its candidate's row and (when both
+        endpoints are that candidate's affected rows) again transposed;
+        exactly one representative per candidate is kept — the same dedupe
+        rule as :meth:`_flipped_cells`, with the affected-row membership
+        looked up per candidate group.
+        """
         length = self._computer.length_threshold
         n = self._graph.num_vertices
         rows_cat = np.concatenate([delta.rows for _, delta in stacked])
@@ -964,39 +1020,16 @@ class OpacitySession:
         old_within = self._distance.rows(rows_cat) <= length
         new_within = new_cat <= length
         flips = old_within != new_within
-        # Each changed cell appears in its candidate's row and (when both
-        # endpoints are that candidate's affected rows) again transposed;
-        # keep exactly one representative per candidate — the same dedupe
-        # rule as :meth:`_flipped_cells`, with the affected-row membership
-        # looked up per candidate group.
         in_rows = np.zeros((len(stacked), n), dtype=bool)
         in_rows[group_of_row, rows_cat] = True
         columns = np.arange(n)
         keep = flips & (~in_rows[group_of_row]
                         | (columns[None, :] > rows_cat[:, None]))
         slab_pos, col_idx = np.nonzero(keep)
-        if slab_pos.size == 0:
-            return [changes if changes is not None else {}
-                    for changes in changes_list]
-        row_idx = rows_cat[slab_pos]
-        gained = new_within[slab_pos, col_idx]
         position_of_group = np.fromiter((position for position, _ in stacked),
                                         dtype=np.int64, count=len(stacked))
-        candidate = position_of_group[group_of_row[slab_pos]]
-        encoded, span = encode_degree_pairs(typing.degrees, row_idx, col_idx)
-        codes, inverse = np.unique(encoded, return_inverse=True)
-        type_of_code = [self._type_index.get(decode_degree_pair(int(code), span))
-                        for code in codes]
-        grouped = (candidate * codes.size + inverse) * 2 + gained.astype(np.int64)
-        counts = np.bincount(grouped, minlength=len(deltas) * codes.size * 2)
-        net = counts.reshape(len(deltas), codes.size, 2)
-        net = net[:, :, 1].astype(np.int64) - net[:, :, 0]
-        for position, code_pos in zip(*np.nonzero(net)):
-            index = type_of_code[code_pos]
-            if index is None:
-                continue
-            changes_list[position][index] = int(net[position, code_pos])
-        return [changes if changes is not None else {} for changes in changes_list]
+        return (position_of_group[group_of_row[slab_pos]], rows_cat[slab_pos],
+                col_idx, new_within[slab_pos, col_idx])
 
     def _summarize(self, changes_list: List[Dict[int, int]]
                          ) -> List[EditEvaluation]:

@@ -41,6 +41,7 @@ nested scan pools.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import weakref
@@ -52,6 +53,8 @@ __all__ = [
     "mark_pool_worker",
     "resolve_scan_workers",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 #: Seconds a worker gets to attach the arena and report readiness.
 _READY_TIMEOUT = 60.0
@@ -204,6 +207,8 @@ class ScanPool:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX platform
+            _LOG.warning("scan pool unavailable: no fork start method; "
+                         "scanning serially")
             return None
         from repro.api.shm import publish_session_store
 
@@ -229,7 +234,9 @@ class ScanPool:
                 reply = conn.recv()
                 if reply[0] != "ready":
                     raise RuntimeError(f"scan worker failed: {reply[1]}")
-        except Exception:  # noqa: BLE001 — pool startup is best-effort
+        except Exception as exc:  # noqa: BLE001 — pool startup is best-effort
+            _LOG.warning("scan pool failed to start (%s: %s); scanning "
+                         "serially", type(exc).__name__, exc, exc_info=True)
             _shutdown(processes, connections)
             if arena is not None:
                 arena.unlink()

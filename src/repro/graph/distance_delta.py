@@ -24,18 +24,25 @@ plus their new values — without a from-scratch recomputation:
   ``(L - 1 - D[i, v])``-ball of ``u``, enumerated from a distance-sorted
   gather of the endpoint's row; the rows keep the store dtype.  Exact, no
   graph traversal.
-* **Removal** of ``{u, v}``: distances only grow, and a row ``i`` can only
-  change when some shortest path from ``i`` crosses the edge, which forces
-  ``|D[i, u] - D[i, v]| = 1`` and ``min(D[i, u], D[i, v]) ≤ L - 1``.  The
-  (few) affected rows are recomputed by vectorized frontier expansion on
-  the edited graph, restricted to those source rows (the ``numpy`` engine's
-  recurrence on an ``|rows| × n`` slab); when the affected region exceeds a
-  size heuristic the session falls back to an exact from-scratch
-  recomputation with the configured engine.
+* **Removal** of ``{u, v}``: distances only grow, and a cell ``(i, b)``
+  can only change when every shortest ≤ L path between its endpoints
+  crossed the edge.  A sequential preview recomputes the affected rows —
+  those with ``|D[i, u] - D[i, v]| = 1`` and ``min(D[i, u], D[i, v]) ≤
+  L - 1`` — by vectorized frontier expansion on the edited graph (the
+  ``numpy`` engine's recurrence on an ``|rows| × n`` slab), falling back
+  to an exact from-scratch recomputation when the affected region exceeds
+  a size heuristic.  Batched removals repair *cells* instead: for each
+  removed edge ``{x, y}`` (both orientations) the cells that can lengthen
+  are the rows ``i`` with ``D[i, x] ≤ L - 1`` and ``D[i, y] = D[i, x] +
+  1``, paired with the columns ``b`` of the ``(L - 1 - D[i, x])``-ball of
+  ``y`` whose shortest path runs through the edge.  Those cells are
+  recomputed level by level over a CSR snapshot of the committed graph
+  minus the removed edges, and come back as a cell-form delta.
 
 Every matrix access is phrased in row blocks (columns are rows transposed —
-the matrix is symmetric), which is exactly the store seam's contract; the
-adjacency mirror follows the same split: the dense tier keeps the
+the matrix is symmetric), which is exactly the store seam's contract; only
+the removal repair on the dense tier reads single cells of the matrix in
+place.  The adjacency mirror follows the same split: the dense tier keeps the
 BLAS-friendly float32 matrix, the tiled tier works off a CSR snapshot with
 an edit-override set, producing bit-identical frontier booleans through
 exact integer neighbor counts.
@@ -52,18 +59,15 @@ the property suite asserts this bit-for-bit.
 :meth:`DistanceSession.preview_batch` evaluates *many independent
 candidates* of the same kind in one stacked pass: all removal candidates —
 single edges or look-ahead combinations of k edges each — share one
-``|rows_total| × n`` slab recompute (with per-row corrections for each of
-the candidate's removed edges; a single edge is the k = 1 case), and all
-single-edge insertion candidates share one ball-restricted relaxation.  The
-batch yields the same deltas as the equivalent sequence of :meth:`preview`
-calls and leaves the same graph-mutation order behind; only the routing
-between slab and from-scratch recompute (two value-identical paths) is
-decided on a combination's whole affected region instead of edge by edge.
+sparse-cell repair (a combination's cells are the union of its edges'),
+and all single-edge insertion candidates share one ball-restricted
+relaxation.  The batch yields the same values as the equivalent sequence
+of :meth:`preview` calls and leaves the same graph-mutation order behind;
+its removal deltas never take the from-scratch route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -81,28 +85,93 @@ from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.matrices import distance_dtype
 
 
-@dataclass(frozen=True)
 class DistanceDelta:
     """Effect of one (tentative) edit on the bounded distance matrix.
 
     ``rows`` lists the affected row indices and ``new_rows`` their updated
     values; every cell outside ``rows × V ∪ V × rows`` is unchanged, and the
     symmetric counterpart of each listed cell changes identically.  When the
-    affected region exceeded the session's fallback heuristic,
+    affected region exceeded the session's fallback heuristic (sequential
+    :meth:`DistanceSession.preview` / :meth:`~DistanceSession.stage` only),
     ``from_scratch`` is set and ``new_rows`` is the full recomputed matrix
     (with ``rows`` spanning every vertex).
+
+    Batched removals come in *cell form*: ``cells`` holds ``(row, col,
+    new)`` arrays with one entry per changed unordered pair, and ``rows`` /
+    ``new_rows`` are materialized from the store on first read — the rows
+    are the endpoints of the changed cells, so the values equal the row
+    form's.  Row-form deltas have ``cells`` set to ``None``.
     """
 
-    removals: Tuple[Edge, ...]
-    insertions: Tuple[Edge, ...]
-    rows: np.ndarray
-    new_rows: np.ndarray
-    from_scratch: bool = False
+    __slots__ = ("removals", "insertions", "from_scratch", "cells",
+                 "_rows", "_new_rows", "_store")
+
+    def __init__(self, removals: Tuple[Edge, ...], insertions: Tuple[Edge, ...],
+                 rows: Optional[np.ndarray] = None,
+                 new_rows: Optional[np.ndarray] = None,
+                 from_scratch: bool = False,
+                 cells: Optional[Tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]] = None,
+                 store: Optional[DistanceStore] = None) -> None:
+        self.removals = removals
+        self.insertions = insertions
+        self.from_scratch = from_scratch
+        self.cells = cells
+        self._rows = rows
+        self._new_rows = new_rows
+        self._store = store
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Affected row indices, ascending."""
+        if self._rows is None:
+            self._materialize()
+        return self._rows
+
+    @property
+    def new_rows(self) -> np.ndarray:
+        """Updated values of :attr:`rows` (store dtype)."""
+        if self._new_rows is None:
+            self._materialize()
+        return self._new_rows
 
     @property
     def num_affected_rows(self) -> int:
         """Number of rows whose values change under this edit."""
         return int(self.rows.size)
+
+    def _materialize(self) -> None:
+        """Row form of a cell-form delta: the store's rows, cells patched."""
+        row, col, new = self.cells
+        rows = np.unique(np.concatenate([row, col]))
+        block = self._store.rows(rows)
+        block[np.searchsorted(rows, row), col] = new
+        block[np.searchsorted(rows, col), row] = new
+        self._rows, self._new_rows = rows, block
+        self._store = None
+
+
+#: Cell budget of the removal repair: a chunk of removal candidates gathers
+#: at most this many endpoint-row cells, and each level of its repair checks
+#: at most this many (cell, neighbour) pairs at a time.
+_REMOVAL_CHUNK_CELLS = 1 << 15
+
+
+def _budget_slices(weights: np.ndarray, budget: int
+                   ) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``(start, stop)`` ranges whose weights sum to ≤ budget.
+
+    Every range holds at least one item, so an item heavier than the
+    budget gets a range of its own.
+    """
+    total = np.cumsum(weights)
+    start = 0
+    while start < weights.size:
+        base = total[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(total, base + budget,
+                                                  side="right")))
+        yield start, stop
+        start = stop
 
 
 def _as_combination(candidate: Union[Edge, Sequence[Edge]]
@@ -228,19 +297,21 @@ class DistanceSession:
         Distance engine used for the initial computation and for the
         from-scratch fallback (dense tier).
     fallback_row_fraction:
-        When a removal would touch more than ``max(16, fraction * n)`` rows,
-        the preview recomputes the full matrix instead of the affected slab
+        When a sequential removal (:meth:`preview`, :meth:`stage`,
+        :meth:`apply`) would touch more than ``max(16, fraction * n)``
+        rows, it recomputes the full matrix instead of the affected slab
         (the slab path would cost more than it saves).  ``None`` (default)
         derives the fraction from the graph's measured density × L — the
         expected L-ball size — and keeps *recalibrating* it from the
         affected-row counts the batched scans observe, so the heuristic
         tracks the graph instead of a hard-coded 0.5.  An explicit float
         pins the fraction; ``0.0`` forces the from-scratch path on every
-        removal (useful for testing).  Either way the chosen value only
-        routes between two value-identical code paths (slab vs
-        from-scratch), so results never depend on it.  The tiled tier pins
-        the fraction to ``1.0``: a from-scratch fallback would materialize
-        the dense matrix the tier exists to avoid, and the slab path is
+        sequential removal (useful for testing).  Either way the chosen
+        value only routes between two value-identical code paths (slab vs
+        from-scratch), so results never depend on it; batched removals
+        repair cells and never consult it.  The tiled tier pins the
+        fraction to ``1.0``: a from-scratch fallback would materialize the
+        dense matrix the tier exists to avoid, and the slab path is
         bit-identical by the property-suite contract.
     initial_distances:
         Optional precomputed L-bounded distances of ``graph`` — either a
@@ -278,6 +349,7 @@ class DistanceSession:
                                    else float(fallback_row_fraction))
         self._observed_rows = 0
         self._observed_candidates = 0
+        self._csr: Optional[CSRAdjacency] = None
         self._store = self._init_store(initial_distances, store_config)
         if isinstance(self._store, TiledStore):
             self._fallback_fraction = 1.0
@@ -391,17 +463,6 @@ class DistanceSession:
         mean_rows = self._observed_rows / self._observed_candidates
         self._fallback_fraction = min(1.0, max(0.05, 8.0 * mean_rows / n))
 
-    @property
-    def mean_affected_rows(self) -> float:
-        """Mean affected rows per single-edge removal observed so far.
-
-        Before any observation (and right after :meth:`take_observed_stats`
-        drains a worker's counters) the density estimate stands in.
-        """
-        if self._observed_candidates:
-            return self._observed_rows / self._observed_candidates
-        return self._expected_ball()
-
     def take_observed_stats(self) -> Tuple[int, int]:
         """Return and reset ``(affected rows, candidates)`` observed so far.
 
@@ -497,17 +558,21 @@ class DistanceSession:
         is one edge or a combination of edges removed together (a
         look-ahead level); all removal candidates of one call have the same
         number k of edges, a single edge counting as k = 1.  The result is
-        bit-identical to ``[preview(removals=c) for c in removals] +
-        [preview(insertions=[e]) for e in insertions]``, but all removal
-        candidates share a single ``|rows_total| × n`` slab recompute and
-        all insertion candidates share a single ball-restricted relaxation,
-        eliminating the per-candidate numpy call overhead that dominates
-        the greedy scans.  (One routing difference: a combination trips
-        the from-scratch fallback on its whole affected region, where
-        :meth:`preview` decides edge by edge; both paths yield the same
-        matrix.)  The graph is touched (and restored) per candidate with
-        the same mutation sequence the sequential previews use, so
-        adjacency-set iteration order stays scan-mode-independent.
+        bit-identical in value to ``[preview(removals=c) for c in
+        removals] + [preview(insertions=[e]) for e in insertions]``, but all
+        removal candidates share one sparse-cell repair and all insertion
+        candidates share one ball-restricted relaxation, eliminating the
+        per-candidate numpy call overhead that dominates the greedy scans.
+        Removal deltas come in cell form (:class:`DistanceDelta`): the
+        repair enumerates only the cells a removal can lengthen and
+        recomputes them level by level on the edited graph, in chunks
+        sized by a cell budget; it never gathers a full-width row, and
+        never takes the from-scratch route a sequential preview may (both
+        yield the same matrix).  Here their rows are materialized before
+        returning; the fused variant leaves that to the first read.  The
+        graph is touched (and restored) per candidate with the same
+        mutation sequence the sequential previews use, so adjacency-set
+        iteration order stays scan-mode-independent.
 
         ``skip_unchanged=True`` is the fused-scan variant for consumers
         that only tally *within-L membership flips* (the opacity sessions):
@@ -515,8 +580,7 @@ class DistanceSession:
         removal whose every perturbed pair stays within L via an alternate
         path — yield ``None`` instead of a :class:`DistanceDelta`, so no
         per-candidate delta object (or row copy) is materialized for no-op
-        rows.  From-scratch fallbacks always materialize (their consumers
-        recount from the full matrix).
+        rows.
         """
         combos = [_as_combination(candidate) for candidate in removals]
         sizes = {len(combo) for combo in combos}
@@ -532,11 +596,11 @@ class DistanceSession:
     def _batch_slab_row_cap(self) -> int:
         """Rows per stacked pass, bounding the workspace to ~32 MB of int64.
 
-        A removal pass keeps ~16 bytes of frontier-expansion workspace per
-        slab cell (the int64 expansion counts plus the boolean
-        frontier/reached planes); an insertion relax keeps one int64 index
-        triple per *relaxed* cell, at most one per slab cell and usually
-        far fewer (a ball, not a row).  On the tiled tier the cap is
+        A sequential removal's slab recompute keeps ~16 bytes of
+        frontier-expansion workspace per slab cell (the int64 expansion
+        counts plus the boolean frontier/reached planes); an insertion
+        relax keeps one int64 index triple per *relaxed* cell, at most one
+        per slab cell and usually far fewer (a ball, not a row).  On the tiled tier the cap is
         additionally bounded by the store's byte budget: capping rows at
         ``budget // (16 n)`` keeps the scan's transient slabs inside the
         same envelope the tile cache honours — instead of densifying
@@ -571,175 +635,197 @@ class DistanceSession:
             yield slab[start:stop]
             start = stop
 
-    def _batch_affected_rows(self, edges: Sequence[Edge], removal: bool,
-                             size: int = 1) -> List[np.ndarray]:
-        """Affected-row arrays of every candidate from one stacked gather.
+    def _batch_insertion_rows(self, edges: Sequence[Edge]) -> List[np.ndarray]:
+        """Affected-row arrays of insertion candidates from one gather.
 
-        Vectorizes :meth:`_removal_rows` (resp. the insertion row filter)
-        across the chunk's edges: both endpoint columns are gathered at
-        once — as matrix *rows*, transposed by symmetry — and the
-        per-candidate row sets split out of a single ``nonzero``.  ``edges``
-        lists the candidates' edges back to back, ``size`` per candidate; a
-        removal combination's rows are the union of its edges' rows, each
-        taken on the *unedited* matrix.  That union is exact: a pair whose
-        distance grows had every shortest ≤ L path cross a removed edge,
-        so its row is in that edge's own affected set.
+        Both endpoint columns of every edge are gathered at once — as
+        matrix *rows*, transposed by symmetry — and the per-candidate row
+        sets (rows within L - 1 of an endpoint) split out of a single
+        ``nonzero``.
         """
-        endpoint_u = np.fromiter((edge[0] for edge in edges), dtype=np.int64,
-                                 count=len(edges))
-        endpoint_v = np.fromiter((edge[1] for edge in edges), dtype=np.int64,
-                                 count=len(edges))
-        du = self._store.rows(endpoint_u).astype(np.int64)
-        dv = self._store.rows(endpoint_v).astype(np.int64)
-        near = np.minimum(du, dv) <= self._length - 1
-        affected = (near & (np.abs(du - dv) == 1)) if removal else near
-        if removal:
-            self.observe_affected_rows(int(affected.sum()), len(edges))
-        if size != 1:
-            affected = affected.reshape(-1, size, du.shape[1]).any(axis=1)
+        endpoints = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        du = self._store.rows(endpoints[:, 0])
+        dv = self._store.rows(endpoints[:, 1])
+        affected = np.minimum(du, dv) <= self._length - 1
         counts = affected.sum(axis=1)
-        candidate_index, row_index = np.nonzero(affected)
-        del candidate_index
-        return np.split(row_index, np.cumsum(counts)[:-1])
+        return np.split(np.nonzero(affected)[1], np.cumsum(counts)[:-1])
+
+    def _removal_chunk_size(self, size: int) -> int:
+        """k-edge removal candidates per chunk, from the cell budget.
+
+        A chunk gathers both endpoint rows of each of its candidates'
+        edges (``2 k n`` cells a candidate); on the tiled tier the budget
+        is further capped by the store's byte budget.
+        """
+        cells = _REMOVAL_CHUNK_CELLS
+        if isinstance(self._store, TiledStore):
+            cells = min(cells, self._store.budget_bytes // 16)
+        return max(1, cells // (2 * size * max(1, self._graph.num_vertices)))
+
+    def _committed_csr(self) -> CSRAdjacency:
+        """CSR snapshot of the committed graph, rebuilt after edits."""
+        if self._csr is None:
+            self._csr = CSRAdjacency.from_graph(self._graph)
+        return self._csr
 
     def _batch_removal_deltas(self, combos: List[Tuple[Edge, ...]],
                               skip_unchanged: bool = False
                               ) -> List[DistanceDelta | None]:
-        n = self._graph.num_vertices
         deltas: List[DistanceDelta | None] = [None] * len(combos)
-        slab: List[Tuple[int, np.ndarray]] = []  # (candidate index, affected rows)
-        threshold = self._fallback_threshold(n)
-        size = len(combos[0]) if combos else 1
-        candidate_cap = max(1, self._batch_candidate_cap() // size)
-        for chunk_start in range(0, len(combos), candidate_cap):
-            chunk = combos[chunk_start:chunk_start + candidate_cap]
-            rows_per_candidate = self._batch_affected_rows(
-                [edge for combo in chunk for edge in combo], removal=True,
-                size=size)
-            for local, combo in enumerate(chunk):
-                index = chunk_start + local
-                # Same mutate/restore sequence as a sequential preview, so
-                # adjacency sets end up with identical iteration histories.
-                for u, v in combo:
-                    self._graph.remove_edge(u, v)
-                rows = rows_per_candidate[local]
-                if rows.size > threshold:
-                    full = bounded_distance_matrix(self._graph, self._length,
-                                                   engine=self._engine)
-                    deltas[index] = DistanceDelta(
-                        combo, (), np.arange(n, dtype=np.int64), full,
-                        from_scratch=True)
-                else:
-                    slab.append((index, rows))
-                for u, v in combo:
-                    self._graph.add_edge(u, v)
-        for slab_chunk in self._slab_chunks(slab):
-            self._fill_removal_chunk(combos, slab_chunk, deltas, skip_unchanged)
+        if not combos:
+            return deltas
+        csr = self._committed_csr()
+        chunk = self._removal_chunk_size(len(combos[0]))
+        for start in range(0, len(combos), chunk):
+            part = combos[start:start + chunk]
+            # Same mutate/restore sequence as a sequential preview, so
+            # adjacency sets end up with identical iteration histories.
+            for combo in part:
+                removed = []
+                try:
+                    for u, v in combo:
+                        self._graph.remove_edge(u, v)
+                        removed.append((u, v))
+                finally:
+                    for u, v in removed:
+                        self._graph.add_edge(u, v)
+            candidate, row, col, new = self._removal_repair(
+                np.asarray(part, dtype=np.int64), csr)
+            bounds = np.searchsorted(candidate,
+                                     np.arange(len(part) + 1)).tolist()
+            if skip_unchanged:
+                # Only candidates with a cell leaving L flip a membership.
+                lost = candidate[new == self._store.sentinel]
+                live = np.unique(lost).tolist()
+            else:
+                live = range(len(part))
+            for local in live:
+                low, high = bounds[local], bounds[local + 1]
+                delta = DistanceDelta(part[local], (), cells=(
+                    row[low:high], col[low:high], new[low:high]),
+                    store=self._store)
+                if not skip_unchanged:
+                    delta._materialize()
+                deltas[start + local] = delta
         return deltas
 
-    def _fill_removal_chunk(self, combos: List[Tuple[Edge, ...]],
-                            chunk: List[Tuple[int, np.ndarray]],
-                            deltas: List[DistanceDelta | None],
-                            skip_unchanged: bool) -> None:
-        """Recompute one chunk's affected rows in a shared stacked slab."""
-        n = self._graph.num_vertices
-        empty_rows = np.empty(0, dtype=np.int64)
-        empty_block = np.empty((0, n), dtype=self._store.dtype)
-        live = [(index, rows) for index, rows in chunk if rows.size]
-        if not skip_unchanged:
-            for index, rows in chunk:
-                if not rows.size:
-                    deltas[index] = DistanceDelta(combos[index], (),
-                                                  empty_rows, empty_block)
-        if not live:
-            return
-        rows_cat = np.concatenate([rows for _, rows in live])
-        # (slab row, edge of its combination, endpoint)
-        endpoints = np.repeat(
-            np.array([combos[index] for index, _ in live], dtype=np.int64),
-            [rows.size for _, rows in live], axis=0)
-        block = self._rows_block_batch(rows_cat, endpoints[:, :, 0],
-                                       endpoints[:, :, 1])
-        old_block = self._store.rows(rows_cat)
-        changed_cat = (block != old_block).any(axis=1)
-        if skip_unchanged:
-            # A candidate only matters to flip-tallying consumers when some
-            # cell crosses the L boundary (within-L membership flips).
-            flips_cat = ((block <= self._length)
-                         != (old_block <= self._length)).any(axis=1)
-        offset = 0
-        for index, rows in live:
-            candidate_block = block[offset:offset + rows.size]
-            changed = changed_cat[offset:offset + rows.size]
-            if skip_unchanged and not flips_cat[offset:offset + rows.size].any():
-                offset += rows.size
-                continue
-            offset += rows.size
-            deltas[index] = DistanceDelta(
-                combos[index], (), rows[changed],
-                np.ascontiguousarray(candidate_block[changed],
-                                     dtype=self._store.dtype))
+    def _removal_repair(self, edges: np.ndarray, csr: CSRAdjacency
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray]:
+        """Changed cells of a chunk of k-edge removal candidates.
 
-    def _rows_block_batch(self, rows: np.ndarray, edge_u: np.ndarray,
-                          edge_v: np.ndarray) -> np.ndarray:
-        """:meth:`_rows_block` across candidates, one frontier expansion.
+        ``edges`` is a ``(candidates, k, 2)`` array.  Returns ``(candidate,
+        row, col, new)`` — one entry per changed unordered pair, grouped by
+        candidate in ascending order, ``new`` in the store dtype.
 
-        ``edge_u``/``edge_v`` are ``(rows, k)`` arrays naming the k removed
-        edges of each slab row's candidate.  The expansion runs against the
-        *unedited* adjacency and subtracts, per row, the product term each
-        of its candidate's removed edges would have contributed — the
-        mirror's neighbor weights are exact (float32 0/1 dots or integer
-        counts), so the corrected frontier equals the one computed on the
-        edited adjacency bit for bit.
-
-        Source rows are independent, so slabs larger than the row cap (a
-        single giant candidate admitted alone by :meth:`_slab_chunks`) are
-        streamed through it in chunks — bit-identical, with the
-        frontier-expansion workspace bounded by the cap.
+        A distance can only grow when every shortest ≤ L path crossed a
+        removed edge, so for each edge ``{x, y}`` (both orientations) the
+        candidate cells are the rows ``i`` with ``D[i, x] ≤ L - 1`` and
+        ``D[i, y] = D[i, x] + 1``, paired with the columns ``b`` of the
+        ``(L - 1 - D[i, x])``-ball of ``y`` where ``D[i, b] = D[i, x] + 1 +
+        D[y, b]``; a combination's set is the union over its edges.  Those
+        cells are then recomputed level by level on the edited graph
+        (:meth:`_repair_levels`); every other cell keeps its value.
         """
-        cap = self._batch_slab_row_cap()
-        if rows.size > cap:
-            return np.concatenate(
-                [self._rows_block_batch_chunk(rows[start:start + cap],
-                                              edge_u[start:start + cap],
-                                              edge_v[start:start + cap])
-                 for start in range(0, rows.size, cap)], axis=0)
-        return self._rows_block_batch_chunk(rows, edge_u, edge_v)
-
-    def _rows_block_batch_chunk(self, rows: np.ndarray, edge_u: np.ndarray,
-                                edge_v: np.ndarray) -> np.ndarray:
+        count, size, _ = edges.shape
+        length = self._length
         n = self._graph.num_vertices
-        total = rows.size
-        sentinel = self._store.sentinel
-        block = np.full((total, n), sentinel, dtype=self._store.dtype)
-        source_index = np.arange(total)
-        block[source_index, rows] = 0
-        reached = np.zeros((total, n), dtype=np.bool_)
-        reached[source_index, rows] = True
-        frontier = self._mirror.block(rows)
-        # A source row that is itself an endpoint of a removed edge must not
-        # start from the edge's other endpoint.
-        for u, v in zip(edge_u.T, edge_v.T):
-            at_u = rows == u
-            frontier[source_index[at_u], v[at_u]] = False
-            at_v = rows == v
-            frontier[source_index[at_v], u[at_v]] = False
-        step = 1
-        while step <= self._length and frontier.any():
-            new = frontier & ~reached
-            block[new & (block == sentinel)] = step
-            reached |= new
-            if step == self._length:
-                break
-            product = self._mirror.expand(new)
-            # One statement per edge: fancy-index ``-=`` does not accumulate
-            # repeated indices, and two edges may share an endpoint.
-            for u, v in zip(edge_u.T, edge_v.T):
-                product[source_index, v] -= new[source_index, u]
-                product[source_index, u] -= new[source_index, v]
-            frontier = product > 0
-            step += 1
-        return block
+        near_end = np.concatenate([edges[:, :, 0].ravel(), edges[:, :, 1].ravel()])
+        far_end = np.concatenate([edges[:, :, 1].ravel(), edges[:, :, 0].ravel()])
+        owner = np.tile(np.repeat(np.arange(count), size), 2)
+        ends, index = np.unique(np.concatenate([near_end, far_end]),
+                                return_inverse=True)
+        end_rows = self._store.rows(ends)
+        near_index, far_index = index[:near_end.size], index[near_end.size:]
+        d_near = end_rows[near_index]
+        qualifies = (d_near <= length - 1) \
+            & (end_rows[far_index] == d_near + 1)
+        self.observe_affected_rows(int(np.count_nonzero(qualifies)),
+                                   count * size)
+        oriented, source = np.nonzero(qualifies)
+        near = d_near[oriented, source].astype(np.int64)
+        del d_near, qualifies
+        entry, col, far = self._ball_entries(
+            self._far_balls(end_rows), far_index[oriented], length - 1 - near)
+        row = source[entry]
+        old = near[entry] + 1 + far
+        within = self._old_values(row)(row, col) == old
+        candidate = owner[oriented[entry[within]]]
+        row, col, old = row[within], col[within], old[within]
+        # One cell per unordered pair per candidate, keys sorted by candidate,
+        # oriented so the repair expands the endpoint of smaller degree.
+        low, high = np.minimum(row, col), np.maximum(row, col)
+        key, first = np.unique((candidate * n + low) * n + high,
+                               return_index=True)
+        candidate, low, high, old = (candidate[first], low[first],
+                                     high[first], old[first])
+        degree = np.diff(csr.indptr)
+        swap = degree[low] < degree[high]
+        row, col = np.where(swap, high, low), np.where(swap, low, high)
+        edge_keys = edges[:, :, 0] * n + edges[:, :, 1]
+        new = self._repair_levels(key, candidate, row, col, old, edge_keys,
+                                  csr, self._old_values(row))
+        changed = new != old
+        new = np.where(new > length, self._store.sentinel, new)
+        return (candidate[changed], row[changed], col[changed],
+                new[changed].astype(self._store.dtype))
+
+    def _old_values(self, rows: np.ndarray):
+        """Reader of committed values ``D[i, b]`` for source rows ``i``.
+
+        The dense tier indexes its matrix; the tiled tier gathers the
+        chunk's unique source rows once.
+        """
+        if isinstance(self._store, DenseStore):
+            matrix = self._store.array
+            return lambda row, col: matrix[row, col]
+        unique = np.unique(rows)
+        block = self._store.rows(unique)
+        return lambda row, col: block[np.searchsorted(unique, row), col]
+
+    def _repair_levels(self, key: np.ndarray, candidate: np.ndarray,
+                       row: np.ndarray, col: np.ndarray, old: np.ndarray,
+                       edge_keys: np.ndarray, csr: CSRAdjacency,
+                       old_values) -> np.ndarray:
+        """New values of the candidate cells on each candidate's edited graph.
+
+        Level ``s = 1..L``: a pending cell ``(i, b)`` with old value ≤ s
+        resolves to ``s`` when some neighbour ``w`` of ``b`` — CSR
+        neighbours minus the candidate's removed edges (``edge_keys``,
+        ``u * n + v``) — has new ``d(i, w) = s - 1``.  That value is the
+        resolved one when ``(i, w)`` is itself a candidate cell (looked up
+        by ``searchsorted`` over the sorted ``key``) and the old one
+        otherwise.  New values never fall below old ones, so neighbours
+        with old ``D[i, w] > s - 1`` are dropped before the lookup.  Cells
+        unresolved after level L come back as ``L + 1``.
+        """
+        length = self._length
+        n = self._graph.num_vertices
+        new = np.full(key.size, length + 1, dtype=np.int64)
+        degree = np.diff(csr.indptr)
+        for level in range(1, length + 1):
+            pending = np.nonzero((new > length) & (old <= level))[0]
+            for low, high in _budget_slices(degree[col[pending]],
+                                            _REMOVAL_CHUNK_CELLS):
+                cells = pending[low:high]
+                rep, neighbor = csr.gather(col[cells])
+                source = row[cells][rep]
+                d_old = old_values(source, neighbor)
+                near = np.nonzero(d_old <= level - 1)[0]
+                cell = cells[rep[near]]
+                source, neighbor = source[near], neighbor[near]
+                d_old = d_old[near].astype(np.int64)
+                owner = candidate[cell]
+                target = col[cell]
+                pair = np.minimum(target, neighbor) * n + np.maximum(target,
+                                                                     neighbor)
+                kept = ~(edge_keys[owner] == pair[:, None]).any(axis=1)
+                lookup = (owner * n + np.minimum(source, neighbor)) * n \
+                    + np.maximum(source, neighbor)
+                position = np.minimum(np.searchsorted(key, lookup), key.size - 1)
+                value = np.where(key[position] == lookup, new[position], d_old)
+                new[cell[kept & (value == level - 1)]] = level
+        return new
 
     def _batch_insertion_deltas(self, edges: List[Edge],
                                 skip_unchanged: bool = False
@@ -752,7 +838,7 @@ class DistanceSession:
         candidate_cap = self._batch_candidate_cap()
         for chunk_start in range(0, len(edges), candidate_cap):
             chunk = edges[chunk_start:chunk_start + candidate_cap]
-            rows_per_candidate = self._batch_affected_rows(chunk, removal=False)
+            rows_per_candidate = self._batch_insertion_rows(chunk)
             for local, (u, v) in enumerate(chunk):
                 index = chunk_start + local
                 self._graph.add_edge(u, v)
@@ -871,21 +957,32 @@ class DistanceSession:
         compared.  Relaxed values are at most L, so no sentinel fix-up is
         needed and the block keeps its dtype.
         """
-        columns, distances, starts, ends = balls
         near = near.astype(np.int64)
         live = np.nonzero(near <= self._length - 1)[0]
-        owner = far_index[live]
-        lengths = ends[owner, self._length - 1 - near[live]]
-        slab_row = np.repeat(live, lengths)
-        # Ragged ``arange``: row ``live[k]`` reads ``lengths[k]`` ball
-        # entries starting at its far endpoint's ``starts``.
+        entry, cells, distances = self._ball_entries(
+            balls, far_index[live], self._length - 1 - near[live])
+        slab_row = live[entry]
+        block[slab_row, cells] = np.minimum(block[slab_row, cells],
+                                            near[slab_row] + 1 + distances)
+
+    @staticmethod
+    def _ball_entries(balls: Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray],
+                      far_index: np.ndarray, radius: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Enumerate the ``radius[k]``-ball of far endpoint ``far_index[k]``.
+
+        Returns ``(entry, columns, distances)``: one item per ball member,
+        ``entry`` naming the ``k`` it belongs to (a ragged ``arange`` over
+        the distance-sorted gather of :meth:`_far_balls`).
+        """
+        columns, distances, starts, ends = balls
+        lengths = ends[far_index, radius]
+        entry = np.repeat(np.arange(far_index.size), lengths)
         offsets = np.cumsum(lengths) - lengths
         flat = np.arange(int(lengths.sum())) \
-            + np.repeat(starts[owner] - offsets, lengths)
-        cells = columns[flat]
-        block[slab_row, cells] = np.minimum(block[slab_row, cells],
-                                            near[slab_row] + 1
-                                            + distances[flat])
+            + np.repeat(starts[far_index] - offsets, lengths)
+        return entry, columns[flat], distances[flat]
 
     def stage(self, removals: Sequence[Edge] = (),
               insertions: Sequence[Edge] = ()) -> DistanceDelta:
@@ -899,6 +996,7 @@ class DistanceSession:
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
+        self._csr = None
         applied = []
         try:
             return self._compute_delta(removals, insertions, applied)
@@ -928,6 +1026,7 @@ class DistanceSession:
         else:
             if (delta.removals, delta.insertions) != (norm_removals, norm_insertions):
                 raise ConfigurationError("delta does not describe the requested edit")
+            self._csr = None
             for u, v in norm_removals:
                 self._graph.remove_edge(u, v)
                 self._mirror.set_edge(u, v, False)
@@ -1047,6 +1146,7 @@ class DistanceSession:
                                         engine=self._engine),
                 self._length)
         self._mirror.rebuild()
+        self._csr = None
 
     # ------------------------------------------------------------------
     # per-edit machinery

@@ -1,5 +1,7 @@
 """End-to-end tests for the service facade."""
 
+import random
+
 import pytest
 
 from repro.api import (
@@ -122,3 +124,32 @@ class TestSweep:
         assert responses[0].ok
         assert not responses[1].ok
         assert "unknown algorithm" in responses[1].error
+
+
+class TestInsertionOrderDeterminism:
+    """A run depends on the edge set, not on how its edge list is ordered."""
+
+    @pytest.mark.parametrize("algorithm,params", [
+        ("rem-ins", dict(length_threshold=2, theta=0.4,
+                         insertion_candidate_cap=40)),
+        ("rem", dict(length_threshold=2, lookahead=2, theta=0.4)),
+        ("gaded-max", dict(length_threshold=1, theta=0.4)),
+        ("gades", dict(length_threshold=1, theta=0.5, max_steps=3)),
+    ])
+    def test_shuffled_and_reoriented_edge_lists_agree(self, algorithm, params):
+        graph = erdos_renyi_graph(22, 0.25, seed=9)
+        rng = random.Random(3)
+        outcomes = []
+        for _ in range(3):
+            edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                     for u, v in graph.edges()]
+            rng.shuffle(edges)
+            response = anonymize(AnonymizationRequest(
+                algorithm=algorithm, edges=tuple(edges),
+                num_vertices=graph.num_vertices, seed=0, **params))
+            assert response.ok
+            outcomes.append((response.removed_edges, response.inserted_edges,
+                             response.final_opacity, response.evaluations))
+        assert outcomes[0][0] or outcomes[0][1]  # the run made edits
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]

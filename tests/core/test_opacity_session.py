@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from repro.api.progress import NullObserver
@@ -21,6 +23,12 @@ from repro.core import (
 from repro.core.opacity_session import _BatchTotals
 from repro.errors import ConfigurationError
 from repro.graph import Graph, erdos_renyi_graph
+from repro.graph.distance_delta import (
+    DistanceSession,
+    _CSROverlayAdjacency,
+    _DenseAdjacency,
+)
+from repro.graph.distance_store import StoreConfig
 
 ALL_ALGORITHMS = [
     (EdgeRemovalAnonymizer, dict(length_threshold=2, theta=0.4, seed=0)),
@@ -261,6 +269,37 @@ class TestEvaluateEdits:
             best = min(range(len(evaluations)),
                        key=lambda pos: evaluations[pos].fraction)
             session.apply_edit(*candidates[best])
+
+
+class TestNoRemovalSlab:
+    """Batched removal scans repair cells; no full-width row is recomputed."""
+
+    @pytest.mark.parametrize("length", [2, 3])
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    def test_batched_scans_match_per_candidate_without_the_slab(
+            self, monkeypatch, length, tier):
+        graph = erdos_renyi_graph(18, 0.3, seed=3)
+        computer = OpacityComputer(DegreePairTyping(graph), length)
+        session = OpacitySession(computer, graph, store_config=StoreConfig(
+            tier=tier, budget_bytes=1 << 12, tile_rows=4))
+        edges = list(graph.edges())
+        scans = [  # rem-ins: removals, then insertions; look-ahead level 2
+            [((edge,), ()) for edge in edges],
+            [((), (edge,)) for edge in list(graph.non_edges())[:40]],
+            [(pair, ()) for pair in list(combinations(edges, 2))[:300]],
+        ]
+        expected = [[session.evaluate_edit(removals, insertions)
+                     for removals, insertions in scan] for scan in scans]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a batched scan ran the full-width slab")
+
+        monkeypatch.setattr(DistanceSession, "_rows_block_chunk", forbidden)
+        monkeypatch.setattr(_DenseAdjacency, "expand", forbidden)
+        monkeypatch.setattr(_CSROverlayAdjacency, "expand", forbidden)
+        for scan, want in zip(scans, expected):
+            assert session.evaluate_edits(scan) == want
+        session.close()
 
 
 class TestLazyTotals:

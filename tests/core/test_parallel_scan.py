@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import shm as shm_module
 from repro.core import (
     DegreePairTyping,
     EdgeRemovalAnonymizer,
@@ -259,6 +260,56 @@ class TestCrashSafety:
             assert parallel._scan_pool is None
             assert parallel.scan_parallelism == 1
             assert parallel.evaluate_edits(pairs) == expected
+        finally:
+            serial.close()
+            parallel.close()
+        assert leaked_arenas() == []
+
+    def test_start_failure_is_logged_and_falls_back_serially(
+            self, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no shared memory here")
+
+        monkeypatch.setattr(shm_module, "publish_session_store", refuse)
+        graph = erdos_renyi_graph(16, 0.25, seed=3)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        serial = OpacitySession(computer, graph.copy(), mode="incremental")
+        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+                                  scan_workers=WORKERS)
+        try:
+            pairs = make_candidates(graph)
+            with caplog.at_level("WARNING", logger="repro.core.scan_pool"):
+                assert parallel.evaluate_edits(pairs) == \
+                    serial.evaluate_edits(pairs)
+            assert parallel.scan_parallelism == 1
+            messages = [record.getMessage() for record in caplog.records
+                        if record.name == "repro.core.scan_pool"]
+            assert len(messages) == 1
+            assert "failed to start" in messages[0]
+            assert "no shared memory here" in messages[0]
+        finally:
+            serial.close()
+            parallel.close()
+
+    def test_mid_scan_failure_is_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(scan_pool_module.ScanPool, "scan",
+                            lambda self, pairs: None)
+        graph = erdos_renyi_graph(16, 0.25, seed=3)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        serial = OpacitySession(computer, graph.copy(), mode="incremental")
+        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+                                  scan_workers=WORKERS)
+        try:
+            pairs = make_candidates(graph)
+            with caplog.at_level("WARNING",
+                                 logger="repro.core.opacity_session"):
+                assert parallel.evaluate_edits(pairs) == \
+                    serial.evaluate_edits(pairs)
+            assert parallel.scan_parallelism == 1
+            messages = [record.getMessage() for record in caplog.records
+                        if record.name == "repro.core.opacity_session"]
+            assert len(messages) == 1
+            assert "a scan worker failed mid-scan" in messages[0]
         finally:
             serial.close()
             parallel.close()

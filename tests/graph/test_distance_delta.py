@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
+from repro.graph import distance_delta
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 
@@ -214,9 +215,16 @@ class TestPreviewBatch:
         for got, want in zip(observed, expected):
             assert got.removals == want.removals
             assert got.insertions == want.insertions
-            assert got.from_scratch == want.from_scratch
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.new_rows, want.new_rows)
+            # The batch repairs cells and never falls back; where the
+            # sequential preview did, compare the matrices both imply.
+            assert not got.from_scratch
+            if want.from_scratch:
+                assert np.array_equal(apply_delta(batch_session, got),
+                                      want.new_rows)
+            else:
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.new_rows, want.new_rows)
+                assert got.new_rows.dtype == want.new_rows.dtype
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_insertion_batch_matches_sequential_previews(self, paper_example_graph,
@@ -280,14 +288,19 @@ class TestPreviewBatch:
             session.preview_batch(removals=[()])
 
     def test_forced_fallback_yields_from_scratch_deltas(self, paper_example_graph):
+        # The fallback routes sequential previews only; the batch's cell
+        # repair implies the same matrices.
         session = DistanceSession(paper_example_graph, 2,
                                   fallback_row_fraction=0.0)
         edges = list(paper_example_graph.edges())
+        previews = [session.preview(removals=[edge]) for edge in edges]
+        assert all(delta.from_scratch for delta in previews)
         deltas = session.preview_batch(removals=edges)
-        assert all(delta.from_scratch for delta in deltas)
-        for edge, delta in zip(edges, deltas):
+        assert not any(delta.from_scratch for delta in deltas)
+        for edge, preview, delta in zip(edges, previews, deltas):
             expected = reference_after(paper_example_graph, [edge], [], 2)
-            assert np.array_equal(delta.new_rows, expected)
+            assert np.array_equal(preview.new_rows, expected)
+            assert np.array_equal(apply_delta(session, delta), expected)
 
     def test_small_slab_chunks_do_not_change_results(self, monkeypatch):
         graph = erdos_renyi_graph(16, 0.25, seed=1)
@@ -297,6 +310,7 @@ class TestPreviewBatch:
         expected = session.preview_batch(removals=edges, insertions=non_edges)
         monkeypatch.setattr(DistanceSession, "_batch_slab_row_cap", lambda self: 1)
         monkeypatch.setattr(DistanceSession, "_batch_candidate_cap", lambda self: 1)
+        monkeypatch.setattr(distance_delta, "_REMOVAL_CHUNK_CELLS", 1)
         chunked = session.preview_batch(removals=edges, insertions=non_edges)
         for got, want in zip(chunked, expected):
             assert np.array_equal(got.rows, want.rows)

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import distance_delta
 from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
@@ -129,19 +130,23 @@ class TestStackedCombinationRemovals:
         edges_before = graph.edge_set()
         with ExitStack() as stack:
             if tiny_caps:
-                for cap in ("_batch_slab_row_cap", "_batch_candidate_cap"):
-                    stack.enter_context(patch.object(
-                        DistanceSession, cap, lambda self: 1))
+                stack.enter_context(patch.object(
+                    distance_delta, "_REMOVAL_CHUNK_CELLS", 1))
             observed = batch.preview_batch(removals=combos)
         assert graph.edge_set() == edges_before
         assert len(observed) == len(combos)
         for combo, got, want in zip(combos, observed, expected):
             assert got.removals == want.removals == tuple(combo)
-            assert got.from_scratch == want.from_scratch
-            assert got.from_scratch == (fallback == 0.0)
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.new_rows, want.new_rows)
-            assert got.new_rows.dtype == want.new_rows.dtype
+            # The fallback routes sequential previews only; the batch's
+            # cell repair implies the same matrix.
+            assert want.from_scratch == (fallback == 0.0)
+            assert not got.from_scratch
+            if want.from_scratch:
+                assert np.array_equal(_materialize(batch, got), want.new_rows)
+            else:
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.new_rows, want.new_rows)
+                assert got.new_rows.dtype == want.new_rows.dtype
             edited = graph.copy()
             for edge in combo:
                 edited.remove_edge(*edge)
@@ -275,3 +280,116 @@ class TestBallRestrictedInsertionRelax:
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.new_rows, want.new_rows)
             assert got.new_rows.dtype == want.new_rows.dtype
+
+
+@st.composite
+def sparse_removal_cases(draw, max_combinations: int = 5):
+    """A graph with a pendant path, a size k ∈ {1, 2, 3} and k-edge removals.
+
+    The path hangs off vertex 0, so each of its edges is a bridge: the
+    first combination always removes one, which disconnects pairs and
+    yields sentinel cells.  When some vertex has k incident edges, one
+    combination is drawn from them, so its edges share an endpoint.  The
+    endpoints of every removed edge are themselves source rows of cells.
+    """
+    core = draw(graphs(min_vertices=3, max_vertices=10, edge_probability=0.45))
+    tail = draw(st.integers(1, 3))
+    base = core.num_vertices
+    path = [(0, base)] + [(base + j, base + j + 1) for j in range(tail - 1)]
+    graph = Graph(base + tail, edges=core.edge_list() + path)
+    size = draw(st.sampled_from([1, 2, 3]))
+    for u, v in ((0, 1), (1, 2)):
+        if graph.num_edges < size and not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    edges = graph.edge_list()
+    others = [edge for edge in edges if edge != path[0]]
+    first = [path[0]] + draw(st.permutations(others))[:size - 1]
+    indices = st.lists(st.integers(0, len(edges) - 1), min_size=size,
+                       max_size=size, unique=True)
+    combos = [tuple(first)] + [
+        tuple(edges[i] for i in draw(indices))
+        for _ in range(draw(st.integers(0, max_combinations)))]
+    stars = [vertex for vertex in range(graph.num_vertices)
+             if graph.degree(vertex) >= size]
+    if stars and draw(st.booleans()):
+        center = draw(st.sampled_from(stars))
+        incident = [edge for edge in edges if center in edge]
+        combos.append(tuple(draw(st.permutations(incident))[:size]))
+    return graph, combos
+
+
+def _edited_reference(graph: Graph, combo, length: int) -> np.ndarray:
+    edited = graph.copy()
+    for edge in combo:
+        edited.remove_edge(*edge)
+    return bounded_distance_matrix(edited, length)
+
+
+class TestSparseRemovalRepair:
+    """Cell-form removal deltas against the edited graph's exact matrix."""
+
+    @given(sparse_removal_cases(), st.sampled_from([1, 2, 3, 4]),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cells_imply_the_edited_matrix(self, case, length, tiny_budget):
+        graph, combos = case
+        session = DistanceSession(graph, length)
+        before = session.distances.copy()
+        sentinel = unreachable_value(before.dtype)
+        with ExitStack() as stack:
+            if tiny_budget:
+                stack.enter_context(patch.object(
+                    distance_delta, "_REMOVAL_CHUNK_CELLS", 1))
+            fused = session.preview_batch(removals=combos, skip_unchanged=True)
+            plain = session.preview_batch(removals=combos)
+        assert np.array_equal(session.distances, before)
+        for combo, cell_delta, row_delta in zip(combos, fused, plain):
+            expected = _edited_reference(graph, combo, length)
+            row, col, new = row_delta.cells
+            assert new.dtype == before.dtype
+            # One entry per changed unordered pair, and nothing else.
+            pairs = set(zip(np.minimum(row, col).tolist(),
+                            np.maximum(row, col).tolist()))
+            assert len(pairs) == row.size
+            assert (before[row, col] != new).all()
+            implied = before.copy()
+            implied[row, col] = new
+            implied[col, row] = new
+            assert np.array_equal(implied, expected)
+            # The materialized rows are the changed cells' endpoints.
+            assert np.array_equal(row_delta.rows,
+                                  np.unique(np.concatenate([row, col])))
+            assert np.array_equal(_materialize(session, row_delta), expected)
+            leaves = (before <= length) & (expected > length)
+            if combo == combos[0]:
+                assert (new == sentinel).any()  # the bridge disconnects
+            if cell_delta is None:
+                assert not leaves.any()
+            else:
+                assert leaves.any()
+                for got, want in zip(cell_delta.cells, row_delta.cells):
+                    assert np.array_equal(got, want)
+
+    @given(sparse_removal_cases(), st.sampled_from([1, 2, 3, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_tier_matches_dense_tier(self, case, length):
+        graph, combos = case
+        dense = DistanceSession(graph.copy(), length).preview_batch(
+            removals=combos, skip_unchanged=True)
+        tiled_config = StoreConfig(tier="tiled", budget_bytes=1 << 12,
+                                   tile_rows=3)
+        tiled_session = DistanceSession(graph, length, store_config=tiled_config)
+        try:
+            tiled = tiled_session.preview_batch(removals=combos,
+                                                skip_unchanged=True)
+            for got, want in zip(tiled, dense):
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                for got_part, want_part in zip(got.cells, want.cells):
+                    assert np.array_equal(got_part, want_part)
+                    assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.new_rows, want.new_rows)
+        finally:
+            tiled_session.close()
