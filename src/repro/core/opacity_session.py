@@ -35,9 +35,9 @@ which stacks the distance deltas of all single-edge candidates (or of one
 look-ahead level's k-edge removal combinations) into one
 :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass and
 tallies every candidate with a single grouped bincount (batched removals
-arrive as changed cells, tallied without any row gather) — the ``"batched"``
-scan mode of the algorithms (DESIGN.md §7), bit-identical to the
-per-candidate loop.  Every candidate is then summarized against one
+and insertions arrive as changed cells, tallied without any row gather) —
+the ``"batched"`` scan mode of the algorithms (DESIGN.md §7), bit-identical
+to the per-candidate loop.  Every candidate is then summarized against one
 :class:`RatioOrder` of the current per-type ratios, so its exact maximum
 and tie count cost O(types it changes); the float total is left lazy and
 computed per batch only when read (GADED-Max).  The session also maintains
@@ -526,11 +526,11 @@ class OpacitySession:
                          ) -> List[Dict[int, int]]:
         # Deltas are consumed into (small) per-type change dicts group by
         # group, so peak retained memory is bounded by ~128 MB of delta
-        # cells: a sequential preview (a mixed remove+insert swap) that
-        # hits the from-scratch fallback holds a full n × n matrix, and a
-        # stacked insertion delta its changed rows, while batched removal
-        # deltas are cell form.  Grouping changes neither the per-candidate
-        # math nor the mutation order.
+        # cells: a sequential preview (a mixed remove+insert swap) holds its
+        # changed rows, or a full n × n matrix when it hits the from-scratch
+        # fallback, while batched removal and insertion deltas are cell
+        # form.  Grouping changes neither the per-candidate math nor the
+        # mutation order.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
         changes: List[Dict[int, int]] = []
@@ -903,14 +903,14 @@ class OpacitySession:
         """Distance deltas of independent candidates, stacked when possible.
 
         Removal-only lists whose candidates all remove the same number of
-        edges (single edges, or one look-ahead level's combinations) share
-        one sparse-cell repair (cell-form deltas), single-edge insertion
-        lists one stacked relaxation; mixed
-        remove+insert edits (GADES swaps) take sequential previews.  The
-        stacked paths run fused (``skip_unchanged=True``): candidates whose
-        edit flips no distance cell come back as ``None`` instead of an
-        empty :class:`DistanceDelta`, so the grouped bincount downstream
-        never allocates per-candidate delta objects for no-op rows.
+        edges (single edges, or one look-ahead level's combinations) and
+        single-edge insertion lists each take one batched pass that yields
+        cell-form deltas; mixed remove+insert edits (GADES swaps) take
+        sequential previews.  The batched paths run fused
+        (``skip_unchanged=True``): candidates whose edit flips no distance
+        cell come back as ``None`` instead of an empty
+        :class:`DistanceDelta`, so the grouped bincount downstream never
+        allocates per-candidate delta objects for no-op candidates.
         """
         if pairs and all(removals and not insertions
                          for removals, insertions in pairs) \
@@ -930,16 +930,17 @@ class OpacitySession:
                              ) -> List[Dict[int, int]]:
         """Per-candidate count changes, one grouped bincount over all flips.
 
-        Cell-form deltas (batched removals) contribute the cells that leave
-        L directly, without any row gather; row-form deltas' flipped cells
-        come from one stacked comparison over their concatenated rows
-        (:meth:`_stacked_row_flips`).  All of them are tallied in a single
-        ``bincount`` over ``(candidate, type-code, sign)`` groups — the
-        per-candidate results are exactly what :meth:`_count_changes`
-        returns for each delta alone.  ``None`` entries (fused no-op
-        candidates) contribute empty changes without any delta object;
-        from-scratch fallbacks and non-degree typings take the
-        per-candidate path.
+        Cell-form deltas (batched removals and insertions) contribute their
+        cells that cross L directly, without any row gather
+        (:meth:`_stacked_cell_flips`); the row-form deltas of sequential
+        previews (GADES swaps) come from one stacked comparison over their
+        concatenated rows (:meth:`_stacked_row_flips`).  All of them are
+        tallied in a single ``bincount`` over ``(candidate, type-code,
+        sign)`` groups — the per-candidate results are exactly what
+        :meth:`_count_changes` returns for each delta alone.  ``None``
+        entries (fused no-op candidates) contribute empty changes without
+        any delta object; from-scratch fallbacks and non-degree typings
+        take the per-candidate path.
         """
         changes_list: List[Dict[int, int]] = [{} for _ in deltas]
         batchable = isinstance(self._computer.typing, DegreePairTyping)
@@ -987,17 +988,19 @@ class OpacitySession:
                                        np.ndarray]:
         """``(candidate, row, col, gained)`` flips of cell-form deltas.
 
-        Every cell of a batched removal was within L and only grows, so it
-        flips — a loss — exactly when its new value passes L.
+        One rule for both edit kinds: a cell flips when ``(old ≤ L) !=
+        (new ≤ L)``, and the flip is a gain when ``new ≤ L``.
         """
-        rows, cols, news = zip(*(delta.cells for _, delta in celled))
+        rows, cols, olds, news = zip(*(delta.cells for _, delta in celled))
         candidate = np.repeat(
             np.fromiter((position for position, _ in celled), dtype=np.int64,
                         count=len(celled)),
             [row.size for row in rows])
-        lost = np.concatenate(news) > self._computer.length_threshold
-        return (candidate[lost], np.concatenate(rows)[lost],
-                np.concatenate(cols)[lost], np.zeros(int(lost.sum()), dtype=bool))
+        length = self._computer.length_threshold
+        gained = np.concatenate(news) <= length
+        flipped = (np.concatenate(olds) <= length) != gained
+        return (candidate[flipped], np.concatenate(rows)[flipped],
+                np.concatenate(cols)[flipped], gained[flipped])
 
     def _stacked_row_flips(self, stacked: List[Tuple[int, DistanceDelta]]
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,

@@ -22,8 +22,12 @@ plus their new values — without a from-scratch recomputation:
   truncated at L.  A term can only win where it is ≤ L, so row ``i`` is
   relaxed only over the ``(L - 1 - D[i, u])``-ball of ``v`` and the
   ``(L - 1 - D[i, v])``-ball of ``u``, enumerated from a distance-sorted
-  gather of the endpoint's row; the rows keep the store dtype.  Exact, no
-  graph traversal.
+  gather of the endpoint's row; the rows keep the store dtype.  Batched
+  insertions skip the rows altogether and enumerate the changed *cells*:
+  ``(i, b)`` with ``i`` in the ``(L - 1)``-ball of ``u`` and ``b`` in the
+  ``(L - 1 - D[i, u])``-ball of ``v``, at ``min(A, B, D[i, b])`` for the two
+  crossing directions ``A = D[i, u] + 1 + D[v, b]`` and ``B = D[b, u] + 1
+  + D[v, i]``, one cell per unordered pair.  Exact, no graph traversal.
 * **Removal** of ``{u, v}``: distances only grow, and a cell ``(i, b)``
   can only change when every shortest ≤ L path between its endpoints
   crossed the edge.  A sequential preview recomputes the affected rows —
@@ -36,12 +40,15 @@ plus their new values — without a from-scratch recomputation:
   are the rows ``i`` with ``D[i, x] ≤ L - 1`` and ``D[i, y] = D[i, x] +
   1``, paired with the columns ``b`` of the ``(L - 1 - D[i, x])``-ball of
   ``y`` whose shortest path runs through the edge.  Those cells are
-  recomputed level by level over a CSR snapshot of the committed graph
-  minus the removed edges, and come back as a cell-form delta.
+  resolved level by level on the edited graph: ``(i, b)`` reaches level
+  ``s`` when ``b`` keeps a neighbour within ``s - 1`` of ``i`` — the
+  neighbour count ``K_s[i, b]`` of the committed graph (memoized per state
+  on the dense tier) minus sparse corrections for the removed edges and
+  for the cells already lengthened — and come back as a cell-form delta.
 
 Every matrix access is phrased in row blocks (columns are rows transposed —
 the matrix is symmetric), which is exactly the store seam's contract; only
-the removal repair on the dense tier reads single cells of the matrix in
+the batched passes on the dense tier read single cells of the matrix in
 place.  The adjacency mirror follows the same split: the dense tier keeps the
 BLAS-friendly float32 matrix, the tiled tier works off a CSR snapshot with
 an edit-override set, producing bit-identical frontier booleans through
@@ -57,18 +64,19 @@ per candidate.  Both code paths yield matrices identical to
 the property suite asserts this bit-for-bit.
 
 :meth:`DistanceSession.preview_batch` evaluates *many independent
-candidates* of the same kind in one stacked pass: all removal candidates —
+candidates* of the same kind in one batched pass: all removal candidates —
 single edges or look-ahead combinations of k edges each — share one
 sparse-cell repair (a combination's cells are the union of its edges'),
-and all single-edge insertion candidates share one ball-restricted
-relaxation.  The batch yields the same values as the equivalent sequence
-of :meth:`preview` calls and leaves the same graph-mutation order behind;
-its removal deltas never take the from-scratch route.
+and all single-edge insertion candidates share one cell enumeration; both
+yield cell-form deltas.  The batch yields the same values as the
+equivalent sequence of :meth:`preview` calls and leaves the same
+graph-mutation order behind; its deltas never take the from-scratch
+route.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,11 +104,13 @@ class DistanceDelta:
     ``from_scratch`` is set and ``new_rows`` is the full recomputed matrix
     (with ``rows`` spanning every vertex).
 
-    Batched removals come in *cell form*: ``cells`` holds ``(row, col,
-    new)`` arrays with one entry per changed unordered pair, and ``rows`` /
+    Batched candidates (:meth:`DistanceSession.preview_batch`) come in
+    *cell form*: ``cells`` holds ``(row, col, old, new)`` arrays in the
+    store dtype, with one entry per changed unordered pair, and ``rows`` /
     ``new_rows`` are materialized from the store on first read — the rows
     are the endpoints of the changed cells, so the values equal the row
-    form's.  Row-form deltas have ``cells`` set to ``None``.
+    form's.  Row-form deltas (sequential previews) have ``cells`` set to
+    ``None``.
     """
 
     __slots__ = ("removals", "insertions", "from_scratch", "cells",
@@ -110,7 +120,7 @@ class DistanceDelta:
                  rows: Optional[np.ndarray] = None,
                  new_rows: Optional[np.ndarray] = None,
                  from_scratch: bool = False,
-                 cells: Optional[Tuple[np.ndarray, np.ndarray,
+                 cells: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                        np.ndarray]] = None,
                  store: Optional[DistanceStore] = None) -> None:
         self.removals = removals
@@ -142,7 +152,7 @@ class DistanceDelta:
 
     def _materialize(self) -> None:
         """Row form of a cell-form delta: the store's rows, cells patched."""
-        row, col, new = self.cells
+        row, col, _, new = self.cells
         rows = np.unique(np.concatenate([row, col]))
         block = self._store.rows(rows)
         block[np.searchsorted(rows, row), col] = new
@@ -151,10 +161,11 @@ class DistanceDelta:
         self._store = None
 
 
-#: Cell budget of the removal repair: a chunk of removal candidates gathers
-#: at most this many endpoint-row cells, and each level of its repair checks
-#: at most this many (cell, neighbour) pairs at a time.
-_REMOVAL_CHUNK_CELLS = 1 << 15
+#: Cell budget of the batched scans: a chunk of removal or insertion
+#: candidates gathers at most this many endpoint-row cells, and each level of
+#: the removal repair walks at most this many (cell, neighbour) pairs at a
+#: time.
+_BATCH_CHUNK_CELLS = 1 << 15
 
 
 def _budget_slices(weights: np.ndarray, budget: int
@@ -350,6 +361,7 @@ class DistanceSession:
         self._observed_rows = 0
         self._observed_candidates = 0
         self._csr: Optional[CSRAdjacency] = None
+        self._counts: Dict[int, np.ndarray] = {}  # dense-tier K memo
         self._store = self._init_store(initial_distances, store_config)
         if isinstance(self._store, TiledStore):
             self._fallback_fraction = 1.0
@@ -561,26 +573,27 @@ class DistanceSession:
         bit-identical in value to ``[preview(removals=c) for c in
         removals] + [preview(insertions=[e]) for e in insertions]``, but all
         removal candidates share one sparse-cell repair and all insertion
-        candidates share one ball-restricted relaxation, eliminating the
+        candidates share one cell enumeration, eliminating the
         per-candidate numpy call overhead that dominates the greedy scans.
-        Removal deltas come in cell form (:class:`DistanceDelta`): the
-        repair enumerates only the cells a removal can lengthen and
-        recomputes them level by level on the edited graph, in chunks
-        sized by a cell budget; it never gathers a full-width row, and
-        never takes the from-scratch route a sequential preview may (both
-        yield the same matrix).  Here their rows are materialized before
-        returning; the fused variant leaves that to the first read.  The
-        graph is touched (and restored) per candidate with the same
-        mutation sequence the sequential previews use, so adjacency-set
-        iteration order stays scan-mode-independent.
+        Both kinds come in cell form (:class:`DistanceDelta`), computed in
+        chunks sized by one cell budget: removals resolve only the cells a
+        removal can lengthen, level by level on the edited graph, from
+        per-state neighbour counts; insertions enumerate the cells the new
+        edge shortens from its endpoint balls.  Neither gathers a
+        full-width row per candidate or takes the from-scratch route a
+        sequential preview may (both yield the same matrix).  Here the
+        rows are materialized from the cells before returning; the fused
+        variant leaves that to the first read.  The graph is touched (and
+        restored) per candidate with the same mutation sequence the
+        sequential previews use, so adjacency-set iteration order stays
+        scan-mode-independent.
 
         ``skip_unchanged=True`` is the fused-scan variant for consumers
         that only tally *within-L membership flips* (the opacity sessions):
         candidates whose edit flips no cell across the L boundary — e.g. a
         removal whose every perturbed pair stays within L via an alternate
         path — yield ``None`` instead of a :class:`DistanceDelta`, so no
-        per-candidate delta object (or row copy) is materialized for no-op
-        rows.
+        per-candidate delta object is materialized for no-op candidates.
         """
         combos = [_as_combination(candidate) for candidate in removals]
         sizes = {len(combo) for combo in combos}
@@ -588,23 +601,23 @@ class DistanceSession:
             raise ConfigurationError(
                 "removal candidates of one batch must each remove the same, "
                 "nonzero number of edges")
-        insertion_edges = [normalize_edge(u, v) for u, v in insertions]
-        deltas = self._batch_removal_deltas(combos, skip_unchanged)
-        deltas += self._batch_insertion_deltas(insertion_edges, skip_unchanged)
-        return deltas
+        singles = [(normalize_edge(u, v),) for u, v in insertions]
+        return (self._batch_deltas(combos, False, skip_unchanged)
+                + self._batch_deltas(singles, True, skip_unchanged))
 
     def _batch_slab_row_cap(self) -> int:
-        """Rows per stacked pass, bounding the workspace to ~32 MB of int64.
+        """Rows per sequential slab pass, bounding the workspace to ~32 MB.
 
         A sequential removal's slab recompute keeps ~16 bytes of
         frontier-expansion workspace per slab cell (the int64 expansion
-        counts plus the boolean frontier/reached planes); an insertion
-        relax keeps one int64 index triple per *relaxed* cell, at most one
-        per slab cell and usually far fewer (a ball, not a row).  On the tiled tier the cap is
-        additionally bounded by the store's byte budget: capping rows at
-        ``budget // (16 n)`` keeps the scan's transient slabs inside the
-        same envelope the tile cache honours — instead of densifying
-        per-candidate slabs past ``scale_budget_bytes``.
+        counts plus the boolean frontier/reached planes); a sequential
+        insertion relax keeps one int64 index triple per *relaxed* cell,
+        at most one per slab cell and usually far fewer (a ball, not a
+        row).  On the tiled tier the cap is additionally bounded by the
+        store's byte budget: capping rows at ``budget // (16 n)`` keeps the
+        transient slabs inside the same envelope the tile cache honours —
+        instead of densifying per-candidate slabs past
+        ``scale_budget_bytes``.
         """
         n = max(1, self._graph.num_vertices)
         cap = max(256, (1 << 22) // n)
@@ -612,52 +625,14 @@ class DistanceSession:
             cap = min(cap, self._store.budget_bytes // (16 * n))
         return max(16, cap)
 
-    def _batch_candidate_cap(self) -> int:
-        """Candidates per ``n × |chunk|`` column gather (bounds the gather)."""
-        n = max(1, self._graph.num_vertices)
-        cap = max(64, (1 << 21) // n)
-        if isinstance(self._store, TiledStore):
-            cap = min(cap, self._store.budget_bytes // (32 * n))
-        return max(16, cap)
-
-    def _slab_chunks(self, slab: List[Tuple[int, np.ndarray]]
-                     ) -> Iterator[List[Tuple[int, np.ndarray]]]:
-        """Greedily pack slab entries into row-capped stacked-pass chunks."""
-        cap = self._batch_slab_row_cap()
-        start = 0
-        while start < len(slab):
-            stop = start
-            total_rows = 0
-            while stop < len(slab) and (stop == start
-                                        or total_rows + slab[stop][1].size <= cap):
-                total_rows += slab[stop][1].size
-                stop += 1
-            yield slab[start:stop]
-            start = stop
-
-    def _batch_insertion_rows(self, edges: Sequence[Edge]) -> List[np.ndarray]:
-        """Affected-row arrays of insertion candidates from one gather.
-
-        Both endpoint columns of every edge are gathered at once — as
-        matrix *rows*, transposed by symmetry — and the per-candidate row
-        sets (rows within L - 1 of an endpoint) split out of a single
-        ``nonzero``.
-        """
-        endpoints = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        du = self._store.rows(endpoints[:, 0])
-        dv = self._store.rows(endpoints[:, 1])
-        affected = np.minimum(du, dv) <= self._length - 1
-        counts = affected.sum(axis=1)
-        return np.split(np.nonzero(affected)[1], np.cumsum(counts)[:-1])
-
-    def _removal_chunk_size(self, size: int) -> int:
-        """k-edge removal candidates per chunk, from the cell budget.
+    def _batch_chunk_size(self, size: int) -> int:
+        """Candidates of ``size`` edges per batched chunk, from the cell budget.
 
         A chunk gathers both endpoint rows of each of its candidates'
         edges (``2 k n`` cells a candidate); on the tiled tier the budget
         is further capped by the store's byte budget.
         """
-        cells = _REMOVAL_CHUNK_CELLS
+        cells = _BATCH_CHUNK_CELLS
         if isinstance(self._store, TiledStore):
             cells = min(cells, self._store.budget_bytes // 16)
         return max(1, cells // (2 * size * max(1, self._graph.num_vertices)))
@@ -668,55 +643,113 @@ class DistanceSession:
             self._csr = CSRAdjacency.from_graph(self._graph)
         return self._csr
 
-    def _batch_removal_deltas(self, combos: List[Tuple[Edge, ...]],
-                              skip_unchanged: bool = False
-                              ) -> List[DistanceDelta | None]:
+    def _drop_committed_state(self) -> None:
+        """Forget the caches of the committed graph state (CSR, ``K`` memo)."""
+        self._csr = None
+        self._counts = {}
+
+    def _batch_deltas(self, combos: List[Tuple[Edge, ...]], insertion: bool,
+                      skip_unchanged: bool) -> List[DistanceDelta | None]:
+        """Cell-form deltas of same-size candidates, one chunk at a time.
+
+        Each chunk first replays the per-candidate graph mutate/restore
+        sequence of a sequential preview (so adjacency sets keep identical
+        iteration histories), then computes all of its candidates' changed
+        cells in one pass: :meth:`_insertion_cells` or
+        :meth:`_removal_repair`.
+        """
         deltas: List[DistanceDelta | None] = [None] * len(combos)
         if not combos:
             return deltas
-        csr = self._committed_csr()
-        chunk = self._removal_chunk_size(len(combos[0]))
+        edit, undo = ((self._graph.add_edge, self._graph.remove_edge)
+                      if insertion else
+                      (self._graph.remove_edge, self._graph.add_edge))
+        length = self._length
+        chunk = self._batch_chunk_size(len(combos[0]))
         for start in range(0, len(combos), chunk):
             part = combos[start:start + chunk]
-            # Same mutate/restore sequence as a sequential preview, so
-            # adjacency sets end up with identical iteration histories.
             for combo in part:
-                removed = []
+                done = []
                 try:
                     for u, v in combo:
-                        self._graph.remove_edge(u, v)
-                        removed.append((u, v))
+                        edit(u, v)
+                        done.append((u, v))
                 finally:
-                    for u, v in removed:
-                        self._graph.add_edge(u, v)
-            candidate, row, col, new = self._removal_repair(
-                np.asarray(part, dtype=np.int64), csr)
+                    for u, v in done:
+                        undo(u, v)
+            edges = np.asarray(part, dtype=np.int64)
+            candidate, row, col, old, new = (
+                self._insertion_cells(edges[:, 0]) if insertion
+                else self._removal_repair(edges, self._committed_csr()))
             bounds = np.searchsorted(candidate,
                                      np.arange(len(part) + 1)).tolist()
             if skip_unchanged:
-                # Only candidates with a cell leaving L flip a membership.
-                lost = candidate[new == self._store.sentinel]
-                live = np.unique(lost).tolist()
+                # Only candidates with a cell crossing L flip a membership.
+                flipped = (old <= length) != (new <= length)
+                live = np.unique(candidate[flipped]).tolist()
             else:
                 live = range(len(part))
             for local in live:
                 low, high = bounds[local], bounds[local + 1]
-                delta = DistanceDelta(part[local], (), cells=(
-                    row[low:high], col[low:high], new[low:high]),
+                delta = DistanceDelta(
+                    () if insertion else part[local],
+                    part[local] if insertion else (),
+                    cells=(row[low:high], col[low:high], old[low:high],
+                           new[low:high]),
                     store=self._store)
                 if not skip_unchanged:
                     delta._materialize()
                 deltas[start + local] = delta
         return deltas
 
+    def _insertion_cells(self, edges: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray, np.ndarray]:
+        """Changed cells of a chunk of single-edge insertion candidates.
+
+        ``edges`` is a ``(candidates, 2)`` array of ``{u, v}``.  Returns
+        ``(candidate, row, col, old, new)`` — one entry per changed
+        unordered pair, grouped by candidate in ascending order, ``old``
+        and ``new`` in the store dtype.
+
+        Every improved path crosses the new edge once, so a changed cell
+        is enumerated as ``(i, b)`` with ``i`` in the ``(L - 1)``-ball of
+        ``u`` and ``b`` in the ``(L - 1 - D[i, u])``-ball of ``v`` (the
+        path ``i → u — v → b``, or the mirror path read from the other
+        end).  Its new value is ``min(A, B, old)`` with ``A = D[i, u] + 1 +
+        D[v, b]`` and ``B = D[b, u] + 1 + D[v, i]``.  ``(b, i)`` is
+        enumerated too exactly when ``B ≤ L``, so keeping ``i < b or B >
+        L`` leaves one cell per unordered pair.
+        """
+        length = self._length
+        ends, index = np.unique(edges, return_inverse=True)
+        index = index.reshape(edges.shape)
+        end_rows = self._store.rows(ends)
+        balls = self._far_balls(end_rows)
+        owner, row, d_near = self._ball_entries(
+            balls, index[:, 0], np.full(edges.shape[0], length - 1))
+        entry, col, d_far = self._ball_entries(
+            balls, index[owner, 1], length - 1 - d_near)
+        candidate, row = owner[entry], row[entry]
+        u_end, v_end = index[candidate, 0], index[candidate, 1]
+        forward = d_near[entry] + 1 + d_far  # A: i → u — v → b
+        backward = end_rows[u_end, col].astype(np.int64) + 1 \
+            + end_rows[v_end, row]  # B: b → u — v → i
+        old = self._old_values(row)(row, col)
+        new = np.minimum(np.minimum(forward, backward), old)
+        keep = (new < old) & ((row < col) | (backward > length))
+        return (candidate[keep], row[keep], col[keep], old[keep],
+                new[keep].astype(self._store.dtype))
+
     def _removal_repair(self, edges: np.ndarray, csr: CSRAdjacency
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray]:
+                                   np.ndarray, np.ndarray]:
         """Changed cells of a chunk of k-edge removal candidates.
 
         ``edges`` is a ``(candidates, k, 2)`` array.  Returns ``(candidate,
-        row, col, new)`` — one entry per changed unordered pair, grouped by
-        candidate in ascending order, ``new`` in the store dtype.
+        row, col, old, new)`` — one entry per changed unordered pair,
+        grouped by candidate in ascending order, ``old`` and ``new`` in the
+        store dtype.
 
         A distance can only grow when every shortest ≤ L path crossed a
         removed edge, so for each edge ``{x, y}`` (both orientations) the
@@ -724,7 +757,7 @@ class DistanceSession:
         ``D[i, y] = D[i, x] + 1``, paired with the columns ``b`` of the
         ``(L - 1 - D[i, x])``-ball of ``y`` where ``D[i, b] = D[i, x] + 1 +
         D[y, b]``; a combination's set is the union over its edges.  Those
-        cells are then recomputed level by level on the edited graph
+        cells are then resolved level by level on the edited graph
         (:meth:`_repair_levels`); every other cell keeps its value.
         """
         count, size, _ = edges.shape
@@ -737,38 +770,43 @@ class DistanceSession:
                                 return_inverse=True)
         end_rows = self._store.rows(ends)
         near_index, far_index = index[:near_end.size], index[near_end.size:]
-        d_near = end_rows[near_index]
-        qualifies = (d_near <= length - 1) \
-            & (end_rows[far_index] == d_near + 1)
+        balls = self._far_balls(end_rows)
+        # Rows within L - 1 of each oriented edge's near endpoint x.
+        ball_edge, ball_row, ball_distance = self._ball_entries(
+            balls, near_index, np.full(near_index.size, length - 1))
+        qualifies = end_rows[far_index[ball_edge], ball_row] \
+            == ball_distance + 1
         self.observe_affected_rows(int(np.count_nonzero(qualifies)),
                                    count * size)
-        oriented, source = np.nonzero(qualifies)
-        near = d_near[oriented, source].astype(np.int64)
-        del d_near, qualifies
-        entry, col, far = self._ball_entries(
-            self._far_balls(end_rows), far_index[oriented], length - 1 - near)
+        oriented, source = ball_edge[qualifies], ball_row[qualifies]
+        near = ball_distance[qualifies]
+        entry, col, far = self._ball_entries(balls, far_index[oriented],
+                                             length - 1 - near)
         row = source[entry]
         old = near[entry] + 1 + far
         within = self._old_values(row)(row, col) == old
         candidate = owner[oriented[entry[within]]]
         row, col, old = row[within], col[within], old[within]
-        # One cell per unordered pair per candidate, keys sorted by candidate,
-        # oriented so the repair expands the endpoint of smaller degree.
+        # One cell per unordered pair per candidate, oriented low → high;
+        # the oriented keys come out sorted by candidate.
         low, high = np.minimum(row, col), np.maximum(row, col)
         key, first = np.unique((candidate * n + low) * n + high,
                                return_index=True)
-        candidate, low, high, old = (candidate[first], low[first],
-                                     high[first], old[first])
-        degree = np.diff(csr.indptr)
-        swap = degree[low] < degree[high]
-        row, col = np.where(swap, high, low), np.where(swap, low, high)
-        edge_keys = edges[:, :, 0] * n + edges[:, :, 1]
-        new = self._repair_levels(key, candidate, row, col, old, edge_keys,
-                                  csr, self._old_values(row))
+        candidate, row, col, old = (candidate[first], low[first],
+                                    high[first], old[first])
+        # Correction (a) entries: a row i within L - 1 of a removed edge's
+        # endpoint x names the cell (i, y) of its other endpoint y.
+        lookup = (owner[ball_edge] * n + ball_row) * n + far_end[ball_edge]
+        position = np.minimum(np.searchsorted(key, lookup), key.size - 1)
+        hit = key[position] == lookup
+        new = self._repair_levels(
+            key, candidate, row, col, old, edges[:, :, 0] * n + edges[:, :, 1],
+            csr, self._count_values(row), position[hit], ball_distance[hit])
         changed = new != old
         new = np.where(new > length, self._store.sentinel, new)
+        dtype = self._store.dtype
         return (candidate[changed], row[changed], col[changed],
-                new[changed].astype(self._store.dtype))
+                old[changed].astype(dtype), new[changed].astype(dtype))
 
     def _old_values(self, rows: np.ndarray):
         """Reader of committed values ``D[i, b]`` for source rows ``i``.
@@ -783,151 +821,110 @@ class DistanceSession:
         block = self._store.rows(unique)
         return lambda row, col: block[np.searchsorted(unique, row), col]
 
+    def _count_values(self, rows: np.ndarray):
+        """Reader of neighbour counts ``K_s[i, b]`` for source rows ``i``.
+
+        ``K_s[i, b] = #{w ∈ N(b) : D[i, w] ≤ s - 1}`` over the committed
+        graph, read as ``reader(s, row, col)``.  The dense tier indexes its
+        per-state memo (:meth:`_neighbour_counts`); the tiled tier gathers
+        the chunk's unique source rows once and expands the rows a level
+        reads through the adjacency mirror.
+        """
+        if isinstance(self._store, DenseStore):
+            return lambda level, row, col: \
+                self._neighbour_counts(level)[row, col]
+        unique = np.unique(rows)
+        block = self._store.rows(unique)
+
+        def read(level: int, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+            needed, inverse = np.unique(row, return_inverse=True)
+            frontier = block[np.searchsorted(unique, needed)] <= level - 1
+            return self._mirror.expand(frontier)[inverse, col]
+        return read
+
+    def _neighbour_counts(self, level: int) -> np.ndarray:
+        """Dense-tier ``K_level`` of the committed graph, memoized per state.
+
+        Built in row blocks from the adjacency mirror's exact float32
+        product, stored as ``uint16`` (``uint32`` past 65,536 vertices) —
+        ``2 n²`` bytes a level beside the mirror's ``4 n²``.  Every state
+        change drops the memo (:meth:`_drop_committed_state`).
+        """
+        counts = self._counts.get(level)
+        if counts is None:
+            n = self._graph.num_vertices
+            matrix = self._store.array
+            counts = np.empty((n, n), dtype=np.uint16 if n <= 1 << 16
+                              else np.uint32)
+            step = max(1, (1 << 22) // max(1, n))
+            for start in range(0, n, step):
+                counts[start:start + step] = self._mirror.expand(
+                    matrix[start:start + step] <= level - 1)
+            self._counts[level] = counts
+        return counts
+
     def _repair_levels(self, key: np.ndarray, candidate: np.ndarray,
                        row: np.ndarray, col: np.ndarray, old: np.ndarray,
-                       edge_keys: np.ndarray, csr: CSRAdjacency,
-                       old_values) -> np.ndarray:
+                       edge_keys: np.ndarray, csr: CSRAdjacency, counts,
+                       removed_cell: np.ndarray, removed_distance: np.ndarray
+                       ) -> np.ndarray:
         """New values of the candidate cells on each candidate's edited graph.
 
-        Level ``s = 1..L``: a pending cell ``(i, b)`` with old value ≤ s
-        resolves to ``s`` when some neighbour ``w`` of ``b`` — CSR
-        neighbours minus the candidate's removed edges (``edge_keys``,
-        ``u * n + v``) — has new ``d(i, w) = s - 1``.  That value is the
-        resolved one when ``(i, w)`` is itself a candidate cell (looked up
-        by ``searchsorted`` over the sorted ``key``) and the old one
-        otherwise.  New values never fall below old ones, so neighbours
-        with old ``D[i, w] > s - 1`` are dropped before the lookup.  Cells
-        unresolved after level L come back as ``L + 1``.
+        ``key`` holds the sorted oriented cell keys ``(candidate * n + row)
+        * n + col``; ``edge_keys`` each candidate's removed edges as ``u *
+        n + v``.  Level 1: a cell with old value 1 is an edge and stays 1
+        unless its candidate removed it.  Level ``s = 2..L``: a pending
+        cell ``(i, b)`` (unresolved, old ≤ s) resolves to ``s`` when ``b``
+        keeps a neighbour ``w`` with new ``d(i, w) ≤ s - 1`` — the count
+        ``K_s[i, b]`` (``counts``) minus two sparse corrections:
+
+        * (a) each removed edge ``{b, w}`` with ``D[i, w] ≤ s - 1``
+          (precomputed as ``removed_cell`` / ``removed_distance``);
+        * (b) each *lengthened* cell ``(i, w)`` — old ≤ s - 1, still
+          unresolved after level s - 1 — for every kept neighbour ``b`` of
+          ``w``, found by ``searchsorted`` over ``key``.
+
+        Cells unresolved after level L come back as ``L + 1``.
         """
         length = self._length
         n = self._graph.num_vertices
         new = np.full(key.size, length + 1, dtype=np.int64)
+        ones = np.nonzero(old == 1)[0]
+        removed = (edge_keys[candidate[ones]]
+                   == (row[ones] * n + col[ones])[:, None]).any(axis=1)
+        new[ones[~removed]] = 1
         degree = np.diff(csr.indptr)
-        for level in range(1, length + 1):
+        for level in range(2, length + 1):
+            deficit = np.bincount(
+                removed_cell[removed_distance <= level - 1],
+                minlength=key.size)
+            lengthened = np.nonzero((old <= level - 1) & (new > length))[0]
+            near = np.concatenate([row[lengthened], col[lengthened]])
+            far = np.concatenate([col[lengthened], row[lengthened]])
+            owner = np.tile(candidate[lengthened], 2)
+            for low, high in _budget_slices(degree[far], _BATCH_CHUNK_CELLS):
+                rep, neighbor = csr.gather(far[low:high])
+                source = near[low:high][rep]
+                target = far[low:high][rep]
+                cell_owner = owner[low:high][rep]
+                pair = np.minimum(target, neighbor) * n \
+                    + np.maximum(target, neighbor)
+                kept = ~(edge_keys[cell_owner] == pair[:, None]).any(axis=1)
+                lookup = (cell_owner * n + source) * n + neighbor
+                position = np.minimum(np.searchsorted(key, lookup),
+                                      key.size - 1)
+                hit = kept & (key[position] == lookup)
+                deficit += np.bincount(position[hit], minlength=key.size)
             pending = np.nonzero((new > length) & (old <= level))[0]
-            for low, high in _budget_slices(degree[col[pending]],
-                                            _REMOVAL_CHUNK_CELLS):
-                cells = pending[low:high]
-                rep, neighbor = csr.gather(col[cells])
-                source = row[cells][rep]
-                d_old = old_values(source, neighbor)
-                near = np.nonzero(d_old <= level - 1)[0]
-                cell = cells[rep[near]]
-                source, neighbor = source[near], neighbor[near]
-                d_old = d_old[near].astype(np.int64)
-                owner = candidate[cell]
-                target = col[cell]
-                pair = np.minimum(target, neighbor) * n + np.maximum(target,
-                                                                     neighbor)
-                kept = ~(edge_keys[owner] == pair[:, None]).any(axis=1)
-                lookup = (owner * n + np.minimum(source, neighbor)) * n \
-                    + np.maximum(source, neighbor)
-                position = np.minimum(np.searchsorted(key, lookup), key.size - 1)
-                value = np.where(key[position] == lookup, new[position], d_old)
-                new[cell[kept & (value == level - 1)]] = level
+            reach = counts(level, row[pending], col[pending]).astype(np.int64)
+            new[pending[reach > deficit[pending]]] = level
         return new
-
-    def _batch_insertion_deltas(self, edges: List[Edge],
-                                skip_unchanged: bool = False
-                                ) -> List[DistanceDelta | None]:
-        n = self._graph.num_vertices
-        deltas: List[DistanceDelta | None] = [None] * len(edges)
-        empty_rows = np.empty(0, dtype=np.int64)
-        empty_block = np.empty((0, n), dtype=self._store.dtype)
-        slab: List[Tuple[int, np.ndarray]] = []
-        candidate_cap = self._batch_candidate_cap()
-        for chunk_start in range(0, len(edges), candidate_cap):
-            chunk = edges[chunk_start:chunk_start + candidate_cap]
-            rows_per_candidate = self._batch_insertion_rows(chunk)
-            for local, (u, v) in enumerate(chunk):
-                index = chunk_start + local
-                self._graph.add_edge(u, v)
-                rows = rows_per_candidate[local]
-                if rows.size == 0:
-                    if not skip_unchanged:
-                        deltas[index] = DistanceDelta((), (edges[index],),
-                                                      empty_rows, empty_block)
-                else:
-                    slab.append((index, rows))
-                self._graph.remove_edge(u, v)
-        for slab_chunk in self._slab_chunks(slab):
-            self._fill_insertion_chunk(edges, slab_chunk, deltas, skip_unchanged)
-        return deltas
-
-    def _fill_insertion_chunk(self, edges: List[Edge],
-                              chunk: List[Tuple[int, np.ndarray]],
-                              deltas: List[DistanceDelta | None],
-                              skip_unchanged: bool) -> None:
-        """Relax one chunk's affected rows in a shared ball-restricted pass.
-
-        The single-edge relaxation of :meth:`_relax_insertion` applied to the
-        stacked ``(candidate, row)`` pairs at once; the matrix is symmetric,
-        so each pair's endpoint columns are read as matrix rows.
-        """
-        rows_cat = np.concatenate([rows for _, rows in chunk])
-        sizes = [rows.size for _, rows in chunk]
-        edge_u = np.repeat(np.fromiter((edges[index][0] for index, _ in chunk),
-                                       dtype=np.int64, count=len(chunk)), sizes)
-        edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in chunk),
-                                       dtype=np.int64, count=len(chunk)), sizes)
-        old_block = self._store.rows(rows_cat)
-        block = self._relax_rows_batch(old_block, edge_u, edge_v)
-        changed_cat = (block != old_block).any(axis=1)
-        if skip_unchanged:
-            flips_cat = ((block <= self._length)
-                         != (old_block <= self._length)).any(axis=1)
-        offset = 0
-        for index, rows in chunk:
-            candidate_block = block[offset:offset + rows.size]
-            changed = changed_cat[offset:offset + rows.size]
-            if skip_unchanged and not flips_cat[offset:offset + rows.size].any():
-                offset += rows.size
-                continue
-            offset += rows.size
-            deltas[index] = DistanceDelta(
-                (), (edges[index],), rows[changed],
-                np.ascontiguousarray(candidate_block[changed],
-                                     dtype=self._store.dtype))
-
-    def _relax_rows_batch(self, old_block: np.ndarray, edge_u: np.ndarray,
-                          edge_v: np.ndarray) -> np.ndarray:
-        """Stacked single-edge relaxation of ``old_block``'s rows.
-
-        Each chunk gathers its unique far endpoints' rows once and relaxes
-        a copy of the old rows only over their balls (:meth:`_relax_balls`),
-        in the store dtype.  Rows are independent, so slabs beyond the row
-        cap stream through it in chunks — the endpoint gathers and the
-        per-relaxed-cell index arrays (the pass's transient workspace) stay
-        bounded by the cap while the result is bit-identical.
-        """
-        cap = self._batch_slab_row_cap()
-        if old_block.shape[0] > cap:
-            return np.concatenate(
-                [self._relax_rows_chunk(old_block[start:start + cap],
-                                        edge_u[start:start + cap],
-                                        edge_v[start:start + cap])
-                 for start in range(0, old_block.shape[0], cap)], axis=0)
-        return self._relax_rows_chunk(old_block, edge_u, edge_v)
-
-    def _relax_rows_chunk(self, old_block: np.ndarray, edge_u: np.ndarray,
-                          edge_v: np.ndarray) -> np.ndarray:
-        count = old_block.shape[0]
-        within = np.arange(count)
-        far, far_index = np.unique(np.concatenate([edge_v, edge_u]),
-                                   return_inverse=True)
-        balls = self._far_balls(self._store.rows(far))
-        block = old_block.copy()
-        self._relax_balls(block, old_block[within, edge_u], balls,
-                          far_index[:count])
-        self._relax_balls(block, old_block[within, edge_v], balls,
-                          far_index[count:])
-        return block
 
     def _far_balls(self, far_rows: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The (L-1)-balls of far endpoints, columns sorted by distance.
+        """The (L-1)-balls of edge endpoints, columns sorted by distance.
 
-        ``far_rows`` holds one distance row per far endpoint.  Returns
+        ``far_rows`` holds one distance row per endpoint.  Returns
         ``(columns, distances, starts, ends)``: endpoint ``f``'s ball of
         radius ``r`` is ``columns[starts[f]:starts[f] + ends[f, r]]``, with
         the matching ``distances``.
@@ -996,7 +993,7 @@ class DistanceSession:
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
-        self._csr = None
+        self._drop_committed_state()
         applied = []
         try:
             return self._compute_delta(removals, insertions, applied)
@@ -1026,7 +1023,7 @@ class DistanceSession:
         else:
             if (delta.removals, delta.insertions) != (norm_removals, norm_insertions):
                 raise ConfigurationError("delta does not describe the requested edit")
-            self._csr = None
+            self._drop_committed_state()
             for u, v in norm_removals:
                 self._graph.remove_edge(u, v)
                 self._mirror.set_edge(u, v, False)
@@ -1146,7 +1143,7 @@ class DistanceSession:
                                         engine=self._engine),
                 self._length)
         self._mirror.rebuild()
-        self._csr = None
+        self._drop_committed_state()
 
     # ------------------------------------------------------------------
     # per-edit machinery

@@ -272,7 +272,13 @@ class TestEvaluateEdits:
 
 
 class TestNoRemovalSlab:
-    """Batched removal scans repair cells; no full-width row is recomputed."""
+    """Batched scans work on cells; no full-width row is recomputed.
+
+    The adjacency mirror's frontier product serves only the removal
+    repair's neighbour counts ``K``: once per level and committed state on
+    the dense tier, at most once per (chunk, level) on the tiled tier, and
+    never for insertions.
+    """
 
     @pytest.mark.parametrize("length", [2, 3])
     @pytest.mark.parametrize("tier", ["dense", "tiled"])
@@ -294,11 +300,33 @@ class TestNoRemovalSlab:
         def forbidden(*args, **kwargs):
             raise AssertionError("a batched scan ran the full-width slab")
 
+        expansions = []
+        mirror = _CSROverlayAdjacency if tier == "tiled" else _DenseAdjacency
+        original_expand = mirror.expand
+
+        def counted(self, frontier):
+            expansions.append(frontier.shape[0])
+            return original_expand(self, frontier)
+
         monkeypatch.setattr(DistanceSession, "_rows_block_chunk", forbidden)
-        monkeypatch.setattr(_DenseAdjacency, "expand", forbidden)
-        monkeypatch.setattr(_CSROverlayAdjacency, "expand", forbidden)
+        monkeypatch.setattr(mirror, "expand", counted)
+        distance = session._distance
+        calls = []
         for scan, want in zip(scans, expected):
+            before = len(expansions)
             assert session.evaluate_edits(scan) == want
+            calls.append(len(expansions) - before)
+        removals, insertions, combos = calls
+        assert insertions == 0
+        if tier == "dense":
+            # One n-row product per level, memoized across both scans.
+            assert (removals, combos) == (length - 1, 0)
+            assert expansions == [graph.num_vertices] * (length - 1)
+        else:
+            for scan, used in ((scans[0], removals), (scans[2], combos)):
+                chunk = distance._batch_chunk_size(len(scan[0][0]))
+                chunks = -(-len(scan) // chunk)
+                assert used <= chunks * (length - 1)
         session.close()
 
 

@@ -308,13 +308,13 @@ class TestPreviewBatch:
         edges = list(graph.edges())
         non_edges = list(graph.non_edges())
         expected = session.preview_batch(removals=edges, insertions=non_edges)
-        monkeypatch.setattr(DistanceSession, "_batch_slab_row_cap", lambda self: 1)
-        monkeypatch.setattr(DistanceSession, "_batch_candidate_cap", lambda self: 1)
-        monkeypatch.setattr(distance_delta, "_REMOVAL_CHUNK_CELLS", 1)
+        # A cell budget of 1 puts every candidate in a chunk of its own.
+        monkeypatch.setattr(distance_delta, "_BATCH_CHUNK_CELLS", 1)
         chunked = session.preview_batch(removals=edges, insertions=non_edges)
         for got, want in zip(chunked, expected):
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.new_rows, want.new_rows)
+            assert got.new_rows.dtype == want.new_rows.dtype
 
 
 class TestInitialDistances:
@@ -341,6 +341,65 @@ class TestInitialDistances:
         with pytest.raises(ConfigurationError):
             DistanceSession(paper_example_graph, 2,
                             initial_distances=np.zeros((3, 3), dtype=np.int32))
+
+
+class TestNeighbourCountMemo:
+    """The dense tier's ``K`` memo follows every committed state change."""
+
+    LENGTH = 3
+
+    @staticmethod
+    def _session(fraction=None):
+        graph = erdos_renyi_graph(16, 0.3, seed=4)
+        return DistanceSession(graph, TestNeighbourCountMemo.LENGTH,
+                               fallback_row_fraction=fraction)
+
+    def _assert_fresh(self, session):
+        """A removal scan's memo equals fresh products; batch = sequential."""
+        edges = list(session.graph.edges())
+        batched = session.preview_batch(removals=edges)
+        for level in range(2, self.LENGTH + 1):
+            fresh = session._mirror.expand(session.distances <= level - 1)
+            assert np.array_equal(session._counts[level], fresh)
+        for edge, got in zip(edges, batched):
+            want = session.preview(removals=[edge])
+            assert np.array_equal(apply_delta(session, got),
+                                  apply_delta(session, want))
+
+    def test_apply_drops_the_memo(self):
+        session = self._session()
+        self._assert_fresh(session)
+        session.apply(removals=[next(iter(session.graph.edges()))])
+        self._assert_fresh(session)
+        edge = next(iter(session.graph.edges()))
+        session.apply(removals=[edge],
+                      delta=session.preview(removals=[edge]))
+        self._assert_fresh(session)
+        edge = next(iter(session.graph.non_edges()))
+        session.apply(insertions=[edge],
+                      delta=session.preview(insertions=[edge]))
+        self._assert_fresh(session)
+
+    def test_stage_and_commit_drop_the_memo(self):
+        session = self._session()
+        self._assert_fresh(session)
+        session.commit(session.stage(
+            removals=[next(iter(session.graph.edges()))]))
+        self._assert_fresh(session)
+
+    def test_from_scratch_commit_drops_the_memo(self):
+        session = self._session(fraction=0.0)
+        self._assert_fresh(session)
+        delta = session.apply(removals=[next(iter(session.graph.edges()))])
+        assert delta.from_scratch
+        self._assert_fresh(session)
+
+    def test_refresh_drops_the_memo(self):
+        session = self._session()
+        self._assert_fresh(session)
+        session.graph.remove_edge(*next(iter(session.graph.edges())))
+        session.refresh()
+        self._assert_fresh(session)
 
 
 class TestFusedPreviewBatch:

@@ -4,6 +4,7 @@ from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,7 +132,7 @@ class TestStackedCombinationRemovals:
         with ExitStack() as stack:
             if tiny_caps:
                 stack.enter_context(patch.object(
-                    distance_delta, "_REMOVAL_CHUNK_CELLS", 1))
+                    distance_delta, "_BATCH_CHUNK_CELLS", 1))
             observed = batch.preview_batch(removals=combos)
         assert graph.edge_set() == edges_before
         assert len(observed) == len(combos)
@@ -238,12 +239,16 @@ class TestBallRestrictedInsertionRelax:
     @given(insertion_batches(), st.sampled_from([1, 2, 3, 4]), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_batch_and_preview_match_full_width_relaxation(self, case, length,
-                                                           row_cap_one):
+                                                           tiny_caps):
         graph, edges = case
         session = DistanceSession(graph, length)
         before = session.distances.copy()
         with ExitStack() as stack:
-            if row_cap_one:
+            if tiny_caps:
+                # One candidate per batch chunk, one row per sequential
+                # relax pass.
+                stack.enter_context(patch.object(
+                    distance_delta, "_BATCH_CHUNK_CELLS", 1))
                 stack.enter_context(patch.object(
                     DistanceSession, "_batch_slab_row_cap", lambda self: 1))
             batch = session.preview_batch(insertions=edges)
@@ -280,6 +285,102 @@ class TestBallRestrictedInsertionRelax:
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.new_rows, want.new_rows)
             assert got.new_rows.dtype == want.new_rows.dtype
+
+
+class TestInsertionCells:
+    """Cell-form insertion deltas against the edited graph's exact matrix.
+
+    A changed pair reached through the new edge from both ends has
+    ``max(A, B) ≥ min(A, B) + 4`` (triangle inequality on the old
+    distances), so the mirror rule only matters from L = 5 on, and the
+    ``B`` term only from L = 6 on; the bounds below reach both.
+    """
+
+    @given(insertion_batches(), st.sampled_from([1, 2, 3, 4, 5, 6]),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_cells_imply_the_edited_matrix(self, case, length, tiny_budget):
+        graph, edges = case
+        session = DistanceSession(graph, length)
+        before = session.distances.copy()
+        with ExitStack() as stack:
+            if tiny_budget:
+                stack.enter_context(patch.object(
+                    distance_delta, "_BATCH_CHUNK_CELLS", 1))
+            fused = session.preview_batch(insertions=edges,
+                                          skip_unchanged=True)
+            plain = session.preview_batch(insertions=edges)
+        assert np.array_equal(session.distances, before)
+        assert fused[0] is not None  # the bridge joins the two parts
+        for edge, cell_delta, row_delta in zip(edges, fused, plain):
+            edited = graph.copy()
+            edited.add_edge(*edge)
+            expected = bounded_distance_matrix(edited, length)
+            assert (row_delta.removals, row_delta.insertions) == ((), (edge,))
+            row, col, old, new = row_delta.cells
+            assert old.dtype == new.dtype == before.dtype
+            # One entry per changed unordered pair, off the diagonal.
+            assert (row != col).all()
+            pairs = set(zip(np.minimum(row, col).tolist(),
+                            np.maximum(row, col).tolist()))
+            assert len(pairs) == row.size
+            assert np.array_equal(old, before[row, col])
+            assert (new < old).all()
+            implied = before.copy()
+            implied[row, col] = new
+            implied[col, row] = new
+            assert np.array_equal(implied, expected)
+            # The materialized rows are the changed cells' endpoints.
+            assert np.array_equal(row_delta.rows,
+                                  np.unique(np.concatenate([row, col])))
+            assert np.array_equal(_materialize(session, row_delta), expected)
+            joins = (before > length) & (expected <= length)
+            if cell_delta is None:
+                assert not joins.any()
+            else:
+                assert joins.any()
+                for got, want in zip(cell_delta.cells, row_delta.cells):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("length, cells", [
+        (4, [(0, 2, 2, 1), (3, 2, 3, 2)]),
+        (5, [(0, 2, 2, 1), (3, 2, 3, 2)]),
+        (6, [(0, 2, 2, 1), (2, 3, 3, 2)]),
+    ])
+    def test_pairs_reached_from_both_ends(self, length, cells):
+        # Path 3 - 0 - 1 - 2 plus the edge {0, 2}, cells (row, col, old,
+        # new).  From L = 5 on the pair {0, 2} is also enumerated from 2
+        # (A = 5); from L = 6 on the pair {2, 3} is also enumerated from 2
+        # (A = 6) and kept as (2, 3), whose value comes from B = 2.
+        graph = Graph(4, edges=[(0, 1), (1, 2), (0, 3)])
+        session = DistanceSession(graph, length)
+        delta, = session.preview_batch(insertions=[(0, 2)])
+        found = sorted(zip(*(part.tolist() for part in delta.cells)))
+        assert found == cells
+
+    @given(insertion_batches(), st.sampled_from([1, 2, 3, 4, 5, 6]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_tier_matches_dense_tier(self, case, length):
+        graph, edges = case
+        dense = DistanceSession(graph.copy(), length).preview_batch(
+            insertions=edges, skip_unchanged=True)
+        tiled_config = StoreConfig(tier="tiled", budget_bytes=1 << 12,
+                                   tile_rows=3)
+        tiled_session = DistanceSession(graph, length, store_config=tiled_config)
+        try:
+            tiled = tiled_session.preview_batch(insertions=edges,
+                                                skip_unchanged=True)
+            for got, want in zip(tiled, dense):
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                for got_part, want_part in zip(got.cells, want.cells):
+                    assert np.array_equal(got_part, want_part)
+                    assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.new_rows, want.new_rows)
+        finally:
+            tiled_session.close()
 
 
 @st.composite
@@ -339,14 +440,15 @@ class TestSparseRemovalRepair:
         with ExitStack() as stack:
             if tiny_budget:
                 stack.enter_context(patch.object(
-                    distance_delta, "_REMOVAL_CHUNK_CELLS", 1))
+                    distance_delta, "_BATCH_CHUNK_CELLS", 1))
             fused = session.preview_batch(removals=combos, skip_unchanged=True)
             plain = session.preview_batch(removals=combos)
         assert np.array_equal(session.distances, before)
         for combo, cell_delta, row_delta in zip(combos, fused, plain):
             expected = _edited_reference(graph, combo, length)
-            row, col, new = row_delta.cells
-            assert new.dtype == before.dtype
+            row, col, old, new = row_delta.cells
+            assert old.dtype == new.dtype == before.dtype
+            assert np.array_equal(old, before[row, col])
             # One entry per changed unordered pair, and nothing else.
             pairs = set(zip(np.minimum(row, col).tolist(),
                             np.maximum(row, col).tolist()))
