@@ -7,7 +7,9 @@ mildly.  This bench quantifies both effects on one workload.
 
 The L = 1 cases take the session's L = 1 tally path, which needs no
 distance deltas; the L = 2 case runs look-ahead level 2 through the
-sparse-cell k-edge removal repair and pins it to the per-candidate scan.
+sparse-cell k-edge removal repair and pins it to a per-candidate
+``evaluate_edit`` loop (``PerCandidateSession`` of
+``tests/reference_session.py``).
 """
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from benchmarks.conftest import run_once, smoke
 from repro.core import EdgeRemovalAnonymizer, EdgeRemovalInsertionAnonymizer
 from repro.datasets import load_sample
+from tests.reference_session import PerCandidateSession, reference_run
 
 DATASET = "wikipedia"
 SAMPLE_SIZE = smoke(40, 25)
@@ -55,13 +58,12 @@ def bench_lookahead_removal_stacked_slab(benchmark):
     benchmark.group = (f"Edge Removal L=2 la=2, {SLAB_DATASET} "
                        f"|V|={SAMPLE_SIZE}, theta={THETA}")
 
-    def run(scan_mode):
+    def anonymizer():
         return EdgeRemovalAnonymizer(length_threshold=2, theta=THETA, seed=0,
-                                     lookahead=2, max_steps=3,
-                                     scan_mode=scan_mode).anonymize(graph)
+                                     lookahead=2, max_steps=3)
 
-    batched = run_once(benchmark, run, "batched")
-    reference = run("per_candidate")
+    batched = run_once(benchmark, anonymizer().anonymize, graph)
+    reference = reference_run(anonymizer(), graph, PerCandidateSession)
     print(f"\n  removal L=2 la=2 batched: {batched.summary()}")
     # Level 1 evaluates at most |E| candidates per step; more evaluations
     # than three such scans prove a level-2 pair scan ran.

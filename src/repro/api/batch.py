@@ -115,11 +115,9 @@ def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
     try:
         cache.adopt_arena(first, descriptor)
         graph = cache.graph_for(first)
-        initial_distances = None
-        if first.evaluation_mode == "incremental":
-            l_max = descriptor.l_max_for(first.engine)
-            initial_distances = cache.distances_for(
-                first, max(l_max or 1, first.length_threshold))
+        l_max = descriptor.l_max_for(first.engine)
+        initial_distances = cache.distances_for(
+            first, max(l_max or 1, first.length_threshold))
     except Exception as exc:  # noqa: BLE001 — same isolation as the group
         return {"responses": [AnonymizationResponse.failure(request, exc).to_dict()
                               for request in requests],
@@ -308,8 +306,7 @@ class BatchRunner:
                     engine_errors: Dict[str, Exception] = {}
                     for engine, l_max in l_max_by_engine.items():
                         probe = next(request for request in group
-                                     if request.engine == engine
-                                     and request.evaluation_mode == "incremental")
+                                     if request.engine == engine)
                         try:
                             # Tiled-tier engines never materialize the dense
                             # L_max matrix: the parent publishes the CSR
@@ -360,8 +357,7 @@ class BatchRunner:
                         sub = [grid.requests[index] for index in todo]
                         first = sub[0]
                         failure: Optional[Exception] = None
-                        if (first.evaluation_mode == "incremental"
-                                and first.engine in engine_errors):
+                        if first.engine in engine_errors:
                             failure = engine_errors[first.engine]
                         elif baseline_error is not None and any(
                                 request.include_utility for request in sub):

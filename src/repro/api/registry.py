@@ -43,8 +43,6 @@ _TUNING_PARAMS = frozenset({
     "swap_sample_size",
     "seed",
     "engine",
-    "evaluation_mode",
-    "scan_mode",
     "scan_workers",
     "max_steps",
     "scale_tier",

@@ -51,8 +51,6 @@ class AnonymizationRequest:
     lookahead: int = 1
     seed: Optional[int] = 0
     engine: str = "numpy"
-    evaluation_mode: str = "incremental"
-    scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     max_steps: Optional[int] = None
     insertion_candidate_cap: Optional[int] = None
@@ -103,8 +101,6 @@ class AnonymizationRequest:
             "lookahead": self.lookahead,
             "seed": self.seed,
             "engine": self.engine,
-            "evaluation_mode": self.evaluation_mode,
-            "scan_mode": self.scan_mode,
             "scan_workers": self.scan_workers,
             "max_steps": self.max_steps,
             "insertion_candidate_cap": self.insertion_candidate_cap,
@@ -295,12 +291,14 @@ class AnonymizationResponse:
 # ----------------------------------------------------------------------
 # canonical request fingerprints
 # ----------------------------------------------------------------------
-FINGERPRINT_VERSION = 4
+FINGERPRINT_VERSION = 5
 """Version stamp mixed into every fingerprint.
 
 Bump it whenever request semantics change in a way that should invalidate
 stored results keyed by fingerprint (new defaulted field with behavioural
-effect, changed canonicalization, ...).
+effect, changed canonicalization, removed field, ...).  Version 5 retired
+the two evaluation-strategy fields, so requests that differed only in them
+now fingerprint alike.
 """
 
 

@@ -30,11 +30,7 @@ from repro.core.anonymizer import (
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
-from repro.core.opacity_session import (
-    OpacitySession,
-    validate_evaluation_mode,
-    validate_scan_mode,
-)
+from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError
@@ -48,8 +44,7 @@ Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
     accepts=("theta", "seed", "max_steps", "swap_sample_size", "engine",
-             "evaluation_mode", "scan_mode", "scan_workers", "scale_tier",
-             "scale_budget_bytes"),
+             "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadesAnonymizer:
     """GADES: greedy degree-preserving edge swapping against link disclosure.
@@ -62,16 +57,11 @@ class GadesAnonymizer:
         Number of candidate swap pairs examined per step (the original
         formulation scans all pairs of edges; a seeded sample keeps the
         reimplementation tractable and is documented in DESIGN.md).
-    evaluation_mode:
-        ``"incremental"`` delta-evaluates each candidate swap (an L = 1
-        swap only flips the four edited cells); ``"scratch"`` recounts
-        from scratch.  Both choose identical swaps.
     """
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None, swap_sample_size: int = 2000,
-                 engine: str = "numpy", evaluation_mode: str = "incremental",
-                 scan_mode: str = "batched",
+                 engine: str = "numpy",
                  scan_workers: Optional[int] = None,
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
@@ -82,8 +72,6 @@ class GadesAnonymizer:
         if scan_workers is not None and scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {scan_workers}")
-        validate_evaluation_mode(evaluation_mode)
-        validate_scan_mode(scan_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -93,8 +81,6 @@ class GadesAnonymizer:
         self._max_steps = max_steps
         self._swap_sample_size = swap_sample_size
         self._engine = engine
-        self._evaluation_mode = evaluation_mode
-        self._scan_mode = scan_mode
         self._scan_workers = scan_workers
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
@@ -158,17 +144,14 @@ class GadesAnonymizer:
                                   seed=self._seed, engine=self._engine,
                                   max_steps=self._max_steps,
                                   swap_sample_size=self._swap_sample_size,
-                                  evaluation_mode=self._evaluation_mode,
-                                  scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = OpacitySession(
-            computer, working, mode=self._evaluation_mode,
+            computer, working,
             initial_distances=initial_distances,
             store_config=config.store_config(),
-            scan_workers=resolve_scan_workers(self._scan_mode,
-                                              self._scan_workers))
+            scan_workers=resolve_scan_workers(self._scan_workers))
         rng = random.Random(self._seed)
         original = graph.copy()
         result = AnonymizationResult(
@@ -273,13 +256,8 @@ class GadesAnonymizer:
                    rng: random.Random,
                    result: AnonymizationResult) -> Optional[Swap]:
         candidates = self._candidate_swaps(session.graph, rng)
-        if self._scan_mode in ("batched", "parallel"):
-            outcomes = iter_batched_evaluations(session, candidates,
-                                                lambda swap: (swap[:2], swap[2:]))
-        else:
-            outcomes = ((swap, session.evaluate_edit(removals=swap[:2],
-                                                     insertions=swap[2:]))
-                        for swap in candidates)
+        outcomes = iter_batched_evaluations(session, candidates,
+                                            lambda swap: (swap[:2], swap[2:]))
         best: Optional[Swap] = None
         best_value = current_max
         for swap, outcome in outcomes:

@@ -74,7 +74,6 @@ from repro.api import (
     anonymize as api_anonymize,
     available_algorithms,
 )
-from repro.core.opacity_session import EVALUATION_MODES, SCAN_MODES
 from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
 from repro.errors import ReproError
@@ -122,8 +121,6 @@ def _request_from_args(args: argparse.Namespace) -> AnonymizationRequest:
         length_threshold=args.length,
         lookahead=args.lookahead,
         seed=args.seed,
-        evaluation_mode=args.evaluation_mode,
-        scan_mode=args.scan_mode,
         scan_workers=args.scan_workers,
         insertion_candidate_cap=args.insertion_cap,
         timeout_seconds=args.timeout,
@@ -212,8 +209,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         length_threshold=args.length,
         lookahead=args.lookahead,
         seed=args.seed,
-        evaluation_mode=args.evaluation_mode,
-        scan_mode=args.scan_mode,
         scan_workers=args.scan_workers,
         insertion_candidate_cap=args.insertion_cap,
         include_utility=not args.no_utility,
@@ -416,24 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument("--theta", type=float, default=0.5)
     anonymize.add_argument("--length", "-L", type=int, default=1)
     anonymize.add_argument("--lookahead", type=int, default=1)
-    anonymize.add_argument("--evaluation-mode", choices=EVALUATION_MODES,
-                           default="incremental", dest="evaluation_mode",
-                           help="candidate evaluation strategy: delta-evaluated "
-                                "sessions (incremental) or per-candidate recounts "
-                                "(scratch); both choose identical edits")
-    anonymize.add_argument("--scan-mode", choices=SCAN_MODES,
-                           default="batched", dest="scan_mode",
-                           help="candidate scan strategy: one stacked pass over "
-                                "a step's candidates and look-ahead "
-                                "combinations (batched), "
-                                "one preview per candidate (per_candidate), or "
-                                "the batched scan sharded across a worker pool "
-                                "(parallel); all choose identical edits")
     anonymize.add_argument("--scan-workers", type=int, default=None,
                            dest="scan_workers",
-                           help="worker pool size for --scan-mode parallel "
-                                "(default: min(4, cpu count) on multi-core "
-                                "machines, serial otherwise)")
+                           help="shard each candidate scan across a pool of "
+                                "this many worker processes (2 or more; "
+                                "default: serial); the edits are identical")
     anonymize.add_argument("--insertion-cap", type=int, default=None)
     anonymize.add_argument("--timeout", type=float, default=None,
                            help="wall-clock budget in seconds (best-effort stop)")
@@ -459,14 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "the corresponding flag")
     sweep.add_argument("--length", "-L", type=int, default=1)
     sweep.add_argument("--lookahead", type=int, default=1)
-    sweep.add_argument("--evaluation-mode", choices=EVALUATION_MODES,
-                       default="incremental", dest="evaluation_mode")
-    sweep.add_argument("--scan-mode", choices=SCAN_MODES,
-                       default="batched", dest="scan_mode")
     sweep.add_argument("--scan-workers", type=int, default=None,
                        dest="scan_workers",
-                       help="worker pool size for --scan-mode parallel "
-                            "(ignored inside pooled grid workers)")
+                       help="scan-pool size per anonymization pass (2 or "
+                            "more; default: serial; ignored inside pooled "
+                            "grid workers)")
     sweep.add_argument("--insertion-cap", type=int, default=None)
     sweep.add_argument("--no-utility", action="store_true",
                        help="skip the per-θ utility metrics")
@@ -527,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "to submitted jobs that set none (default: 512)")
     serve.add_argument("--scan-workers", type=int, default=None,
                        dest="scan_workers",
-                       help="default parallel-scan pool size applied at "
-                            "execution time to submitted jobs that kept the "
-                            "default scan mode (fingerprints unchanged)")
+                       help="default scan-pool size applied at execution "
+                            "time to submitted jobs that set none "
+                            "(fingerprints unchanged)")
     serve.add_argument("--reset", action="store_true",
                        help="archive and re-initialize the run store before "
                             "serving (rolling window of 3 backups)")

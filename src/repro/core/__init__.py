@@ -20,12 +20,7 @@ from repro.core.pair_types import (
     TypeKey,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
-from repro.core.opacity_session import (
-    EVALUATION_MODES,
-    SCAN_MODES,
-    EditEvaluation,
-    OpacitySession,
-)
+from repro.core.opacity_session import EditEvaluation, OpacitySession
 from repro.core.anonymizer import (
     AnonymizationCheckpoint,
     AnonymizationResult,
@@ -54,8 +49,6 @@ __all__ = [
     "OpacityComputer",
     "OpacityResult",
     "TypeOpacity",
-    "EVALUATION_MODES",
-    "SCAN_MODES",
     "EditEvaluation",
     "OpacitySession",
     "AnonymizationCheckpoint",

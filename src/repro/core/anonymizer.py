@@ -35,11 +35,7 @@ from repro.api.progress import (
     notify_checkpoint,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult
-from repro.core.opacity_session import (
-    OpacitySession,
-    validate_evaluation_mode,
-    validate_scan_mode,
-)
+from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError, InfeasibleError
@@ -84,8 +80,8 @@ def iter_batched_evaluations(session: OpacitySession, candidates: Iterable,
     computed in one :meth:`OpacitySession.evaluate_edits` pass, and the
     pairs arrive in candidate order — so the consumer's per-candidate
     accounting (and any stop raised from it) never waits on more than one
-    chunk of computed-but-unreported work.  Shared by every
-    ``scan_mode="batched"`` scan loop.
+    chunk of computed-but-unreported work.  Shared by every candidate
+    scan of the heuristics and baselines.
     """
     # A parallel scan amortizes one pool round-trip per chunk, so chunks
     # scale with the pool size — each worker still sees ~BATCH_SCAN_CHUNK
@@ -134,28 +130,13 @@ class AnonymizerConfig:
     strict:
         If ``True``, raise :class:`InfeasibleError` when the threshold cannot
         be met; otherwise return a best-effort result with ``success=False``.
-    evaluation_mode:
-        How candidate edits are evaluated: ``"incremental"`` (default)
-        delta-evaluates each candidate through an
-        :class:`~repro.core.opacity_session.OpacitySession`;
-        ``"scratch"`` recomputes distances and counts from scratch per
-        candidate.  Both modes choose bit-identical edits.
-    scan_mode:
-        How a step's candidate list is walked: ``"batched"`` (default)
-        evaluates a scan's candidates (single edges or one look-ahead
-        level's combinations) in stacked
-        :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
-        passes; ``"per_candidate"`` previews them one at a time;
-        ``"parallel"`` shards the batched scan across a pool of
-        ``scan_workers`` processes attached to a shared-memory publication
-        of the session state (DESIGN.md §12).  All scan modes choose
-        bit-identical edits.
     scan_workers:
-        Pool size for ``scan_mode="parallel"``.  ``None`` (default)
-        auto-sizes to ``min(4, cpu_count)`` on multi-core machines and
-        falls back to serial scanning on single-core ones; explicit values
-        are used as-is (0/1 = serial).  Ignored by the other scan modes
-        and inside θ-group pool workers (no nested oversubscription).
+        Size of the parallel scan pool.  A value of 2 or more shards every
+        large candidate scan across that many worker processes attached to
+        a shared-memory publication of the session state (DESIGN.md §12);
+        ``None`` (default), 0 and 1 scan serially.  Ignored inside θ-group
+        pool workers (no nested oversubscription).  Either way the
+        chosen edits are bit-identical.
     swap_sample_size:
         GADES only: candidate swap pairs examined per step.  Recorded here
         so a result's config reproduces the run; ``None`` for the other
@@ -165,8 +146,7 @@ class AnonymizerConfig:
         full n×n matrix in memory, ``"tiled"`` streams row-block tiles
         through a :class:`~repro.graph.distance_store.TiledStore` under
         ``scale_budget_bytes``, and ``"auto"`` (default) picks dense when
-        the matrix fits the budget and tiled otherwise.  The tiled tier
-        requires ``evaluation_mode="incremental"``.
+        the matrix fits the budget and tiled otherwise.
     scale_budget_bytes:
         Byte budget for the distance plane (``None`` = the default
         512 MiB).  In the dense tier this is a guard — exceeding it raises
@@ -184,8 +164,6 @@ class AnonymizerConfig:
     max_combinations: int = 100_000
     insertion_candidate_cap: Optional[int] = None
     strict: bool = False
-    evaluation_mode: str = "incremental"
-    scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     swap_sample_size: Optional[int] = None
     scale_tier: str = "auto"
@@ -221,17 +199,7 @@ class AnonymizerConfig:
         if self.scan_workers is not None and self.scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {self.scan_workers}")
-        validate_evaluation_mode(self.evaluation_mode)
-        validate_scan_mode(self.scan_mode)
-        if self.scan_mode == "parallel" and self.evaluation_mode == "scratch":
-            raise ConfigurationError(
-                "scan_mode='parallel' requires evaluation_mode='incremental'; "
-                "scratch evaluation has no shareable session state")
         validate_scale_tier(self.scale_tier)
-        if self.scale_tier == "tiled" and self.evaluation_mode == "scratch":
-            raise ConfigurationError(
-                "scale_tier='tiled' requires evaluation_mode='incremental'; "
-                "scratch evaluation recomputes a dense matrix per candidate")
         if self.scale_budget_bytes is not None and self.scale_budget_bytes < 1:
             raise ConfigurationError(
                 f"scale_budget_bytes must be >= 1, got {self.scale_budget_bytes}")
@@ -279,7 +247,7 @@ class AnonymizationResult:
     observer: ProgressObserver = field(default=NULL_OBSERVER, repr=False, compare=False)
     #: Execution diagnostics that do not affect the anonymization outcome
     #: (effective fallback row fraction, parallel-scan usage, ...).
-    #: Excluded from equality so results stay comparable across scan modes.
+    #: Excluded from equality so results stay comparable across pool sizes.
     debug_info: Dict[str, Any] = field(default_factory=dict, repr=False,
                                        compare=False)
 
@@ -587,11 +555,10 @@ class BaseAnonymizer(ABC):
         working = (resume_from.graph.copy() if resume_from is not None
                    else graph.copy())
         session = OpacitySession(
-            computer, working, mode=config.evaluation_mode,
+            computer, working,
             initial_distances=initial_distances,
             store_config=config.store_config(),
-            scan_workers=resolve_scan_workers(config.scan_mode,
-                                              config.scan_workers))
+            scan_workers=resolve_scan_workers(config.scan_workers))
         rng = random.Random(config.seed)
         original = graph.copy()
         result = AnonymizationResult(
@@ -690,39 +657,23 @@ class BaseAnonymizer(ABC):
     # ------------------------------------------------------------------
     # helpers shared by subclasses
     # ------------------------------------------------------------------
-    def _evaluate_removal(self, session: OpacitySession, edges: Sequence[Edge],
-                          result: AnonymizationResult) -> CandidateOutcome:
-        """Opacity after tentatively removing ``edges`` (no trace is left)."""
-        outcome = session.evaluate_edit(removals=edges)
-        self._record_evaluation(result)
-        return CandidateOutcome(edges=tuple(edges), fraction=outcome.fraction,
-                                types_at_max=outcome.types_at_max)
-
-    def _evaluate_insertion(self, session: OpacitySession, edges: Sequence[Edge],
-                            result: AnonymizationResult) -> CandidateOutcome:
-        """Opacity after tentatively inserting ``edges`` (no trace is left)."""
-        outcome = session.evaluate_edit(insertions=edges)
-        self._record_evaluation(result)
-        return CandidateOutcome(edges=tuple(edges), fraction=outcome.fraction,
-                                types_at_max=outcome.types_at_max)
-
     def _batch_removal_evaluator(self, session: OpacitySession,
                                  result: AnonymizationResult):
-        """Batch counterpart of :meth:`_evaluate_removal` for candidate scans.
+        """Evaluator of removal candidates for the step's scans.
 
         Returns a callable mapping an iterable of edge combinations (of one
         size) to an iterator of :class:`CandidateOutcome`\\ s: the
         combinations are consumed and their outcomes computed in
         stacked :meth:`OpacitySession.evaluate_edits` chunks, then yielded
-        one at a time with the same per-candidate evaluation accounting
-        (and :class:`AnonymizationStopped` cadence) as the sequential scan
-        — chunking keeps a stop request from waiting on the whole batch.
+        one at a time, each counted as one evaluation (which may raise
+        :class:`AnonymizationStopped`) — chunking keeps a stop request
+        from waiting on the whole batch.
         """
         return self._batch_evaluator(session, result, "remove")
 
     def _batch_insertion_evaluator(self, session: OpacitySession,
                                    result: AnonymizationResult):
-        """Batch counterpart of :meth:`_evaluate_insertion` (see above)."""
+        """Evaluator of insertion candidates (see above)."""
         return self._batch_evaluator(session, result, "insert")
 
     def _batch_evaluator(self, session: OpacitySession,

@@ -29,8 +29,8 @@ from repro.graph.graph import Edge, Graph
     description="Edge Removal/Insertion (paper Algorithm 5)",
     accepts=("length_threshold", "theta", "lookahead", "engine", "seed",
              "max_steps", "prune_candidates", "max_combinations",
-             "insertion_candidate_cap", "strict", "evaluation_mode",
-             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
+             "insertion_candidate_cap", "strict", "scan_workers",
+             "scale_tier", "scale_budget_bytes"),
 )
 class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     """Algorithm 5: greedy L-opacification via alternating removal and insertion.
@@ -72,14 +72,11 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
             return None
         best = search_best_combination(
             candidates,
-            lambda combo: self._evaluate_removal(session, combo, result),
+            self._batch_removal_evaluator(session, result),
             current_fraction=current.max_fraction,
             lookahead=self._config.lookahead,
             rng=rng,
             max_combinations=self._config.max_combinations,
-            evaluate_batch=(self._batch_removal_evaluator(session, result)
-                            if self._config.scan_mode in ("batched", "parallel")
-                            else None),
         )
         if best is None:
             return None
@@ -96,13 +93,9 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
         if not candidates:
             return None
         breaker = TieBreaker(rng)
-        if self._config.scan_mode in ("batched", "parallel"):
-            evaluate_batch = self._batch_insertion_evaluator(session, result)
-            for outcome in evaluate_batch([(edge,) for edge in candidates]):
-                breaker.offer(outcome)
-        else:
-            for edge in candidates:
-                breaker.offer(self._evaluate_insertion(session, (edge,), result))
+        evaluate_batch = self._batch_insertion_evaluator(session, result)
+        for outcome in evaluate_batch([(edge,) for edge in candidates]):
+            breaker.offer(outcome)
         best = breaker.best
         if best is None:
             return None

@@ -7,8 +7,8 @@ opacity the search widens to combinations of two edges, then three, up to
 combination generator).  If no combination improves at any size, the best
 single-size candidate found is returned so the greedy loop still progresses.
 
-With a batch hook (``scan_mode="batched"``) every level streams its
-combinations through the session's stacked scan: a level of k-edge removal
+Every level streams its combinations through a batch evaluator, which the
+heuristics back with the session's stacked scan: a level of k-edge removal
 combinations is previewed chunk by chunk in one sparse-cell removal repair
 (see :mod:`repro.graph.distance_delta`), bit-identical to previewing each
 combination on its own.
@@ -24,8 +24,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.anonymizer import CandidateOutcome, TieBreaker
 from repro.graph.graph import Edge
-
-EvaluateCombo = Callable[[Sequence[Edge]], CandidateOutcome]
 
 #: Batch evaluator: maps one level's combinations (a lazy iterable) to
 #: their outcomes (an iterator, so evaluation accounting interleaves per
@@ -62,12 +60,11 @@ def _combinations_capped(candidates: Sequence[Edge], size: int, cap: int,
 
 
 def search_best_combination(candidates: Sequence[Edge],
-                            evaluate: EvaluateCombo,
+                            evaluate_batch: EvaluateComboBatch,
                             current_fraction: Fraction,
                             lookahead: int,
                             rng: random.Random,
-                            max_combinations: int,
-                            evaluate_batch: Optional[EvaluateComboBatch] = None
+                            max_combinations: int
                             ) -> Optional[CandidateOutcome]:
     """Find the best edge combination of size 1..lookahead.
 
@@ -77,14 +74,13 @@ def search_best_combination(candidates: Sequence[Edge],
     size improves, the best candidate observed overall is returned; ``None``
     is returned only when there are no candidates at all.
 
-    ``evaluate_batch``, when given, handles every level: it receives the
-    level's combinations as a lazy iterable and the session it wraps
-    computes them chunk by chunk, each chunk in one stacked pass against
-    the shared distance state (single edges and k-edge combinations alike)
-    instead of one preview per combination.  Its outcomes still arrive one
-    combination at a time, so stop checks stay per evaluation; ``evaluate``
-    is used only without a batch hook.  Outcomes are offered to the
-    tie-breakers in combination order either way.
+    ``evaluate_batch`` handles every level: it receives the level's
+    combinations as a lazy iterable and the session it wraps computes them
+    chunk by chunk, each chunk in one stacked pass against the shared
+    distance state (single edges and k-edge combinations alike).  Its
+    outcomes still arrive one combination at a time, so stop checks stay
+    per evaluation, and are offered to the tie-breakers in combination
+    order.
     """
     if not candidates:
         return None
@@ -92,11 +88,7 @@ def search_best_combination(candidates: Sequence[Edge],
     for size in range(1, min(lookahead, len(candidates)) + 1):
         level = TieBreaker(rng)
         combos = _combinations_capped(candidates, size, max_combinations, rng)
-        if evaluate_batch is not None:
-            outcomes: Iterable[CandidateOutcome] = evaluate_batch(combos)
-        else:
-            outcomes = (evaluate(combo) for combo in combos)
-        for outcome in outcomes:
+        for outcome in evaluate_batch(combos):
             level.offer(outcome)
             overall.offer(outcome)
         best_at_level = level.best

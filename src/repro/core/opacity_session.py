@@ -17,32 +17,25 @@ flipped cells — for :class:`~repro.core.pair_types.DegreePairTyping` a
 vectorized bincount over the changed pairs; at L = 1 a batched scan skips
 the distance machinery entirely (a flipped cell is exactly an edited edge,
 so the tally reduces to a bincount over the candidates' own edges).  The
-session reproduces the
-stateless evaluator *bit-identically*: the same ``Fraction`` maxima, the
-same ``types_at_max`` tie-break counts, and (for GADED-Max) the same
-float-summed total opacity, so a greedy run chooses the same edits in either
-evaluation mode.
-
-``mode="scratch"`` is the reference implementation: every query applies the
-edit, runs the stateless evaluator, and reverts — the paper's
-copy-evaluate-restore loop behind the same interface.  Both modes apply and
-revert tentative edits through the same :class:`~repro.graph.graph.Graph`
-mutations in the same order, so adjacency-set iteration (and with it every
-seeded tie-break downstream) is mode-independent.
+session reproduces the stateless evaluator *bit-identically*: the same
+``Fraction`` maxima, the same ``types_at_max`` tie-break counts, and (for
+GADED-Max) the same float-summed total opacity as the paper's
+copy-evaluate-restore loop, which the test suite keeps as its reference.
 
 Whole candidate scans go through :meth:`OpacitySession.evaluate_edits`,
 which stacks the distance deltas of all single-edge candidates (or of one
 look-ahead level's k-edge removal combinations) into one
 :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass and
 tallies every candidate with a single grouped bincount (batched removals
-and insertions arrive as changed cells, tallied without any row gather) —
-the ``"batched"`` scan mode of the algorithms (DESIGN.md §7), bit-identical
-to the per-candidate loop.  Every candidate is then summarized against one
-:class:`RatioOrder` of the current per-type ratios, so its exact maximum
-and tie count cost O(types it changes); the float total is left lazy and
-computed per batch only when read (GADED-Max).  The session also maintains
-the pruning pass's within-L violating-pair mask incrementally
-(:meth:`violating_pair_indices`).
+and insertions arrive as changed cells, tallied without any row gather),
+bit-identical to one :meth:`OpacitySession.evaluate_edit` per candidate
+(DESIGN.md §6).  A batched scan only reads the working graph: its
+candidates are validated against it, never applied.  Every candidate is
+then summarized against one :class:`RatioOrder` of the current per-type
+ratios, so its exact maximum and tie count cost O(types it changes); the
+float total is left lazy and computed per batch only when read
+(GADED-Max).  The session also maintains the pruning pass's within-L
+violating-pair mask incrementally (:meth:`violating_pair_indices`).
 """
 
 from __future__ import annotations
@@ -60,42 +53,15 @@ from repro.core.opacity import (
     encode_degree_pairs,
 )
 from repro.core.pair_types import DegreePairTyping, TypeKey
-from repro.errors import ConfigurationError
-from repro.graph.distance_delta import DistanceDelta, DistanceSession
+from repro.graph.distance_delta import DistanceDelta, DistanceSession, check_edit
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
 from repro.graph.matrices import triu_pair_indices
 
 _LOG = logging.getLogger(__name__)
 
-#: Valid values of the ``evaluation_mode`` knob, service layer included.
-EVALUATION_MODES: Tuple[str, ...] = ("scratch", "incremental")
-
-#: Valid values of the ``scan_mode`` knob: how the greedy algorithms walk a
-#: step's candidate list — one :meth:`OpacitySession.evaluate_edit` per
-#: candidate, one :meth:`OpacitySession.evaluate_edits` pass over all of
-#: them, or that same batched pass sharded across a persistent pool of
-#: scan workers over a shared-memory arena (``"parallel"``,
-#: :mod:`repro.core.scan_pool`).  All scan modes choose bit-identical
-#: edits.
-SCAN_MODES: Tuple[str, ...] = ("per_candidate", "batched", "parallel")
-
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
-
-
-def validate_evaluation_mode(mode: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``mode`` is a known mode."""
-    if mode not in EVALUATION_MODES:
-        raise ConfigurationError(
-            f"unknown evaluation_mode {mode!r}; available: {EVALUATION_MODES}")
-
-
-def validate_scan_mode(mode: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``mode`` is a known scan mode."""
-    if mode not in SCAN_MODES:
-        raise ConfigurationError(
-            f"unknown scan_mode {mode!r}; available: {SCAN_MODES}")
 
 
 class EditEvaluation:
@@ -161,7 +127,7 @@ class _BatchTotals:
     apply_edit` replaces the array) and the batch's change dicts.  The
     float ratio matrix is tiled for the whole batch and summed with
     ``cumsum``, which accumulates element by element, left to right, like
-    the scratch reference.
+    a plain loop over the stateless evaluator's ``per_type`` entries.
     """
 
     __slots__ = ("_withins", "_totals", "_changes", "_values")
@@ -310,7 +276,8 @@ class OpacitySession:
 
     All graph mutations of an anonymization run must go through
     :meth:`apply_edit` so the incremental state stays in sync; tentative
-    candidates go through :meth:`evaluate_edit`, which leaves no trace.
+    candidates go through :meth:`evaluate_edits` (or :meth:`evaluate_edit`),
+    which leave no trace.
 
     Parameters
     ----------
@@ -318,9 +285,6 @@ class OpacitySession:
         The stateless evaluator fixing typing, L, and the distance engine.
     graph:
         The working graph (shared, not copied).
-    mode:
-        ``"incremental"`` (delta evaluation) or ``"scratch"``
-        (copy-evaluate-restore reference).
     fallback_row_fraction:
         Passed to :class:`DistanceSession` — sequential removal previews
         (applied edits, GADES swaps) touching more than this fraction of
@@ -329,8 +293,8 @@ class OpacitySession:
         from measured density × L; the chosen value is routing-only and
         never changes results.
     scan_workers:
-        Size of the parallel scan pool (``scan_mode="parallel"``, resolved
-        by :func:`repro.core.scan_pool.resolve_scan_workers`).  With a
+        Size of the parallel scan pool (resolved by
+        :func:`repro.core.scan_pool.resolve_scan_workers`).  With a
         value > 1, :meth:`evaluate_edits` shards large candidate scans
         across that many worker processes attached to a shared-memory
         publication of this session's state; 0/1 keeps every scan serial.
@@ -343,37 +307,22 @@ class OpacitySession:
         :class:`~repro.graph.distance_store.DistanceStore` served by the
         tier-aware cache — adopted as the incremental session's starting
         state so construction skips the from-scratch engine run.  The
-        session takes ownership of the payload; scratch mode (which
-        recomputes per evaluation anyway) ignores it.
+        session takes ownership of the payload.
     store_config:
         Scale-tier policy for a session that must compute its own
-        distances (ignored when ``initial_distances`` is given).  The
-        tiled tier requires incremental evaluation — scratch mode
-        recomputes dense matrices per candidate, which is exactly what the
-        tier exists to avoid.
+        distances (ignored when ``initial_distances`` is given).
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
-                 mode: str = "incremental",
                  fallback_row_fraction: Optional[float] = None,
                  initial_distances: Optional[np.ndarray | DistanceStore] = None,
                  store_config: Optional[StoreConfig] = None,
                  scan_workers: int = 0) -> None:
-        validate_evaluation_mode(mode)
-        if mode == "scratch" and (
-                (store_config is not None and store_config.tier == "tiled")
-                or isinstance(initial_distances, DistanceStore)
-                and not isinstance(initial_distances, DenseStore)):
-            raise ConfigurationError(
-                "the tiled scale tier requires evaluation_mode='incremental'; "
-                "scratch mode materializes dense matrices per candidate")
         self._computer = computer
         self._graph = graph
-        self._mode = mode
         self._current: Optional[OpacityResult] = None
-        self._distance: Optional[DistanceSession] = None
         # Lazy pruning-pass state: frozen degree-pair codes of every upper-
-        # triangle pair, and (incremental mode) the maintained within-L mask.
+        # triangle pair, and the maintained within-L mask.
         self._triu_codes: Optional[np.ndarray] = None
         self._triu_code_span: int = 1
         self._within_pairs: Optional[np.ndarray] = None
@@ -383,13 +332,12 @@ class OpacitySession:
         self._scan_pool = None
         self._scan_failed = False
         self.parallel_scans = 0
-        if mode == "incremental":
-            self._distance = DistanceSession(
-                graph, computer.length_threshold, engine=computer.engine,
-                fallback_row_fraction=fallback_row_fraction,
-                initial_distances=initial_distances,
-                store_config=store_config)
-            self._init_counts()
+        self._distance = DistanceSession(
+            graph, computer.length_threshold, engine=computer.engine,
+            fallback_row_fraction=fallback_row_fraction,
+            initial_distances=initial_distances,
+            store_config=store_config)
+        self._init_counts()
 
     # ------------------------------------------------------------------
     # accessors
@@ -405,11 +353,6 @@ class OpacitySession:
         return self._graph
 
     @property
-    def mode(self) -> str:
-        """The evaluation mode (``"scratch"`` or ``"incremental"``)."""
-        return self._mode
-
-    @property
     def scan_workers(self) -> int:
         """The configured parallel-scan pool size (0 = serial scans)."""
         return self._scan_workers
@@ -418,39 +361,21 @@ class OpacitySession:
     def scan_parallelism(self) -> int:
         """How many processes a candidate scan currently spans (>= 1)."""
         if self._scan_workers > 1 and not self._scan_failed \
-                and self._mode == "incremental" \
                 and self._computer.length_threshold > 1:
             return self._scan_workers
         return 1
 
     @property
-    def fallback_row_fraction(self) -> Optional[float]:
+    def fallback_row_fraction(self) -> float:
         """The distance session's effective fallback fraction (debug hook)."""
-        if self._distance is None:
-            return None
         return self._distance.fallback_row_fraction
 
-    def distances(self) -> np.ndarray:
-        """The current dense L-bounded matrix (treat as read-only).
-
-        Dense tier only — a tiled-tier session raises
-        :class:`~repro.errors.DistanceMemoryError`; stream through
-        :meth:`distance_rows` instead.
-        """
-        if self._distance is not None:
-            return self._distance.distances
-        return self._computer.distances(self._graph)
-
     def distance_rows(self, block: Sequence[int]) -> np.ndarray:
-        """Fresh ``|block| × n`` distance rows (incremental mode only).
+        """Fresh ``|block| × n`` distance rows.
 
         Columns follow by symmetry; this is the tier-independent way to
         read distances, sized to the store's tile budget.
         """
-        if self._distance is None:
-            raise ConfigurationError(
-                "distance_rows() requires evaluation_mode='incremental'; "
-                "scratch mode recomputes matrices per call")
         return self._distance.rows(block)
 
     # ------------------------------------------------------------------
@@ -458,8 +383,6 @@ class OpacitySession:
     # ------------------------------------------------------------------
     def current(self) -> OpacityResult:
         """Full Algorithm 1 result for the current graph state."""
-        if self._mode == "scratch":
-            return self._computer.evaluate(self._graph)
         if self._current is None:
             counts = {key: int(within)
                       for key, within in zip(self._type_keys, self._withins)}
@@ -468,9 +391,12 @@ class OpacitySession:
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> EditEvaluation:
-        """Opacity outcome after tentatively applying the edit (no trace left)."""
-        if self._mode == "scratch":
-            return self._scratch_evaluate(removals, insertions)
+        """Opacity outcome after tentatively applying the edit (no trace left).
+
+        The sequential reference of :meth:`evaluate_edits`: one
+        :meth:`~repro.graph.distance_delta.DistanceSession.preview`, which
+        applies the edit to the graph and reverts it.
+        """
         delta = self._distance.preview(removals, insertions)
         return self._summarize([self._count_changes(delta)])[0]
 
@@ -478,21 +404,20 @@ class OpacitySession:
         """Outcomes of many *independent* tentative edits, batch-evaluated.
 
         Bit-identical to ``[self.evaluate_edit(r, i) for r, i in candidates]``
-        — same ``Fraction`` maxima, tie counts, float totals, and the same
-        graph-mutation history — but a homogeneous scan of single-edge
-        removals (resp. insertions) computes all distance deltas in one
-        stacked :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
-        pass and tallies every candidate's count deltas with a single grouped
-        bincount over the stacked flipped cells.  Look-ahead combinations of
+        — same ``Fraction`` maxima, tie counts and float totals — but a
+        homogeneous scan of single-edge removals (resp. insertions)
+        computes all distance deltas in one stacked
+        :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
+        pass and tallies every candidate's count deltas with a single
+        grouped bincount over the stacked flipped cells.  Look-ahead combinations of
         k removals share one sparse-cell removal repair the same way; mixed
         remove+insert candidates (GADES swaps) fall back to sequential
-        previews but still share the grouped count stage.
+        previews but still share the grouped count stage.  Batched paths
+        never mutate the graph; an edit that does not apply to it raises
+        :class:`~repro.errors.InvalidEdgeError` and leaves it unchanged.
         """
         pairs = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
-        if self._mode == "scratch":
-            return [self._scratch_evaluate(removals, insertions)
-                    for removals, insertions in pairs]
         if self._computer.length_threshold == 1:
             # At L = 1 the within-L pairs are exactly the edges, so a
             # candidate's flipped cells are its edited edges themselves —
@@ -518,8 +443,6 @@ class OpacitySession:
 
     def take_scan_stats(self) -> Tuple[int, int]:
         """Drain the distance session's ``(affected rows, candidates)``."""
-        if self._distance is None:
-            return (0, 0)
         return self._distance.take_observed_stats()
 
     def _collect_changes(self, pairs: List[EditCandidate]
@@ -529,8 +452,7 @@ class OpacitySession:
         # cells: a sequential preview (a mixed remove+insert swap) holds its
         # changed rows, or a full n × n matrix when it hits the from-scratch
         # fallback, while batched removal and insertion deltas are cell
-        # form.  Grouping changes neither the per-candidate math nor the
-        # mutation order.
+        # form.  Grouping does not change the per-candidate math.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
         changes: List[Dict[int, int]] = []
@@ -545,7 +467,6 @@ class OpacitySession:
     def _use_parallel_scan(self, pairs: List[EditCandidate]) -> bool:
         return (self._scan_workers > 1
                 and not self._scan_failed
-                and self._mode == "incremental"
                 and len(pairs) > self._scan_workers)
 
     def _ensure_scan_pool(self):
@@ -566,10 +487,9 @@ class OpacitySession:
 
         On success the concatenated worker changes are exactly what
         :meth:`_collect_changes` would have produced (distance values are
-        canonical, shards preserve candidate order), the workers' observed
-        affected-row stats are folded into the parent's auto fallback
-        fraction, and the scan's graph mutate/restore sequence is replayed
-        so adjacency-set histories stay scan-mode-independent.
+        canonical, shards preserve candidate order), and the workers'
+        observed affected-row stats are folded into the parent's auto
+        fallback fraction.
         """
         pool = self._ensure_scan_pool()
         if pool is not None:
@@ -579,7 +499,6 @@ class OpacitySession:
                 for rows_total, candidates in stats:
                     self._distance.observe_affected_rows(rows_total,
                                                          candidates)
-                self._distance.replay_scan_mutations(pairs)
                 self.parallel_scans += 1
                 return changes
             self._teardown_scan_pool("a scan worker failed mid-scan")
@@ -598,21 +517,14 @@ class OpacitySession:
     def close(self) -> None:
         """Release pool workers and store resources (idempotent)."""
         self._teardown_scan_pool()
-        if self._distance is not None:
-            self._distance.close()
+        self._distance.close()
 
     def apply_edit(self, removals: Sequence[Edge] = (),
                    insertions: Sequence[Edge] = ()) -> None:
         """Permanently apply the edit, keeping all session state in sync."""
-        if self._mode == "scratch":
-            for u, v in removals:
-                self._graph.remove_edge(u, v)
-            for u, v in insertions:
-                self._graph.add_edge(u, v)
-            return
-        # Two-phase: stage mutates the graph exactly once (the same mutation
-        # sequence scratch mode performs), count deltas are diffed against
-        # the still-pre-edit matrix, then the delta is folded in.
+        # Two-phase: stage mutates the graph exactly once, count deltas are
+        # diffed against the still-pre-edit matrix, then the delta is folded
+        # in.
         delta = self._distance.stage(removals, insertions)
         if delta.from_scratch:
             changes = self._count_changes(delta)
@@ -639,39 +551,28 @@ class OpacitySession:
 
     def resync(self) -> None:
         """Rebuild all incremental state from scratch (testing / recovery)."""
-        if self._mode == "incremental":
-            self._distance.refresh()
-            self._init_counts()
+        self._distance.refresh()
+        self._init_counts()
         self._within_pairs = None
 
     # ------------------------------------------------------------------
     # pruning support
     # ------------------------------------------------------------------
-    def violating_pair_indices(self, max_types,
-                               distances: Optional[np.ndarray] = None
-                               ) -> Tuple[np.ndarray, np.ndarray]:
+    def violating_pair_indices(self, max_types) -> Tuple[np.ndarray, np.ndarray]:
         """Upper-triangle ``(i, j)`` pairs within L whose type is in ``max_types``.
 
         The candidate-pruning pass of the removal heuristics asks this every
-        step.  In incremental mode the within-L mask is *maintained* across
-        applied edits (only the flipped cells of each step's delta are
-        touched) and the frozen per-pair type codes are computed once, so a
-        query costs one vectorized membership test instead of a per-pair
-        Python scan.  Scratch mode recomputes the mask from ``distances``
-        (or a fresh matrix) per call — same pairs, same triu order.
+        step.  The within-L mask is *maintained* across applied edits (only
+        the flipped cells of each step's delta are touched) and the frozen
+        per-pair type codes are computed once, so a query costs one
+        vectorized membership test instead of a per-pair Python scan.
         """
         n = self._graph.num_vertices
         rows, cols = triu_pair_indices(n)
         if rows.size == 0:
             return rows, cols
-        length = self._computer.length_threshold
-        if self._mode == "incremental":
-            self._ensure_pair_mask()
-            within = self._within_pairs
-        else:
-            if distances is None:
-                distances = self._computer.distances(self._graph)
-            within = distances[rows, cols] <= length
+        self._ensure_pair_mask()
+        within = self._within_pairs
         typing = self._computer.typing
         if isinstance(typing, DegreePairTyping):
             codes = self._ensure_triu_codes()
@@ -732,31 +633,6 @@ class OpacitySession:
         self._within_pairs[flat] = gained
 
     # ------------------------------------------------------------------
-    # scratch reference path
-    # ------------------------------------------------------------------
-    def _scratch_evaluate(self, removals: Sequence[Edge],
-                          insertions: Sequence[Edge]) -> EditEvaluation:
-        for u, v in removals:
-            self._graph.remove_edge(u, v)
-        for u, v in insertions:
-            self._graph.add_edge(u, v)
-        try:
-            outcome = self._computer.evaluate(self._graph)
-        finally:
-            for u, v in insertions:
-                self._graph.remove_edge(u, v)
-            for u, v in removals:
-                self._graph.add_edge(u, v)
-        # Left to right, like the incremental ``cumsum`` (``sum`` of floats
-        # is compensated from Python 3.12 on).
-        total = 0.0
-        for entry in outcome.per_type.values():
-            total += entry.opacity
-        return EditEvaluation(fraction=outcome.max_fraction,
-                              types_at_max=outcome.types_at_max,
-                              total_opacity=total)
-
-    # ------------------------------------------------------------------
     # incremental machinery
     # ------------------------------------------------------------------
     def _init_counts(self) -> None:
@@ -790,20 +666,10 @@ class OpacitySession:
 
         A removal flips exactly its own cell from within-L to outside (the
         edge was at distance 1), an insertion the reverse, so the tally
-        reduces to the edited edges themselves.  The graph is still touched
-        and restored with the same mutation sequence a
-        :meth:`DistanceSession.preview` performs, so adjacency-set
-        iteration histories — and with them every seeded tie-break
-        downstream — stay identical across evaluation and scan modes.
+        reduces to the edited edges themselves.  The graph is only read:
+        the edit is validated against it, never applied.
         """
-        for u, v in removals:
-            self._graph.remove_edge(u, v)
-        for u, v in insertions:
-            self._graph.add_edge(u, v)
-        for u, v in insertions:
-            self._graph.remove_edge(u, v)
-        for u, v in removals:
-            self._graph.add_edge(u, v)
+        check_edit(self._graph, removals, insertions)
         count = len(removals) + len(insertions)
         if count == 0:
             return {}

@@ -1,8 +1,8 @@
 """Persistent worker pool sharding one candidate scan over a shared arena.
 
-``scan_mode="parallel"`` splits the batched candidate scan of a greedy step
-across a small pool of worker processes.  The parent publishes its session's
-*current* graph and distance store into a
+A run with ``scan_workers`` of 2 or more splits the batched candidate scan of
+a greedy step across a small pool of worker processes.  The parent publishes
+its session's *current* graph and distance store into a
 :class:`~repro.api.shm.SharedSampleArena` exactly once per pool lifetime;
 each worker attaches the segments read-only, rebuilds an equivalent
 incremental :class:`~repro.core.opacity_session.OpacitySession`, and from
@@ -19,11 +19,7 @@ Bit-identity is preserved by construction:
   change dicts match the serial scan's bit for bit;
 * candidates are sharded *contiguously* in candidate order and the parent
   concatenates shard results back in that order before running its own
-  summarize pass — same ``Fraction`` maxima, tie counts, and float totals;
-* the parent replays the scan's graph mutate/restore sequence afterwards
-  (:meth:`~repro.graph.distance_delta.DistanceSession.replay_scan_mutations`),
-  so adjacency-set iteration histories — and every seeded tie-break
-  downstream — stay scan-mode-independent.
+  summarize pass — same ``Fraction`` maxima, tie counts, and float totals.
 
 Failure handling is all-or-nothing: any send/recv error (including a worker
 killed with SIGKILL mid-scan) makes :meth:`ScanPool.scan` return ``None``;
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -76,22 +71,16 @@ def in_pool_worker() -> bool:
     return _IN_POOL_WORKER
 
 
-def resolve_scan_workers(scan_mode: str,
-                         scan_workers: Optional[int]) -> int:
-    """Effective scan-pool size for a run's (scan_mode, scan_workers) knobs.
+def resolve_scan_workers(scan_workers: Optional[int]) -> int:
+    """Effective scan-pool size for a run's ``scan_workers`` knob.
 
-    Returns 0 (serial scan) unless ``scan_mode == "parallel"`` — and always
-    inside a pool worker, the no-oversubscription rule.  An explicit
-    ``scan_workers`` wins; ``None`` auto-sizes to ``min(4, cpu_count)`` on
-    multi-core machines and 0 on single-core ones (where the pool could
-    only lose).
+    Returns 0 inside a pool worker (the no-oversubscription rule) and the
+    value otherwise, ``None`` counting as 0.  A session starts a pool only
+    for 2 or more workers, so ``None``, 0 and 1 all scan serially.
     """
-    if scan_mode != "parallel" or in_pool_worker():
+    if scan_workers is None or in_pool_worker():
         return 0
-    if scan_workers is not None:
-        return max(0, int(scan_workers))
-    cpus = os.cpu_count() or 1
-    return min(4, cpus) if cpus >= 2 else 0
+    return int(scan_workers)
 
 
 def _scan_worker_main(conn, descriptor, computer,
@@ -116,7 +105,6 @@ def _scan_worker_main(conn, descriptor, computer,
         else:
             initial = cache.matrix(length)
         session = OpacitySession(computer, attached.graph,
-                                 mode="incremental",
                                  fallback_row_fraction=fallback_row_fraction,
                                  initial_distances=initial)
         conn.send(("ready",))

@@ -69,9 +69,9 @@ single edges or look-ahead combinations of k edges each — share one
 sparse-cell repair (a combination's cells are the union of its edges'),
 and all single-edge insertion candidates share one cell enumeration; both
 yield cell-form deltas.  The batch yields the same values as the
-equivalent sequence of :meth:`preview` calls and leaves the same
-graph-mutation order behind; its deltas never take the from-scratch
-route.
+equivalent sequence of :meth:`preview` calls, but it only *reads* the
+graph: every candidate is validated against it (:func:`check_edit`) and
+none is ever applied.  Its deltas never take the from-scratch route.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DistanceMemoryError
+from repro.errors import ConfigurationError, DistanceMemoryError, InvalidEdgeError
 from repro.graph.distance import DistanceEngine, bounded_distance_matrix
 from repro.graph.distance_store import (
     CSRAdjacency,
@@ -183,6 +183,31 @@ def _budget_slices(weights: np.ndarray, budget: int
                                                   side="right")))
         yield start, stop
         start = stop
+
+
+def check_edit(graph: Graph, removals: Sequence[Edge],
+               insertions: Sequence[Edge] = ()) -> None:
+    """Raise :class:`InvalidEdgeError` unless the edit applies to ``graph``.
+
+    A read-only stand-in for applying the edit (removals first, then
+    insertions) and reverting it: it accepts exactly the edits that
+    sequence of :meth:`~repro.graph.graph.Graph.remove_edge` /
+    :meth:`~repro.graph.graph.Graph.add_edge` calls accepts.  Rejected are
+    self-loops, a removal of an absent edge, an edge listed twice, and an
+    insertion of a present edge the same edit does not remove.
+    """
+    removed = set()
+    for u, v in removals:
+        edge = normalize_edge(u, v)
+        if edge in removed or not graph.has_edge(*edge):
+            raise InvalidEdgeError(f"edge {edge} not present")
+        removed.add(edge)
+    inserted = set()
+    for u, v in insertions:
+        edge = normalize_edge(u, v)
+        if edge in inserted or (graph.has_edge(*edge) and edge not in removed):
+            raise InvalidEdgeError(f"edge {edge} already present")
+        inserted.add(edge)
 
 
 def _as_combination(candidate: Union[Edge, Sequence[Edge]]
@@ -486,33 +511,6 @@ class DistanceSession:
         self._observed_candidates = 0
         return stats
 
-    def replay_scan_mutations(
-            self, candidates: Sequence[Tuple[Sequence[Edge],
-                                             Sequence[Edge]]]) -> None:
-        """Replay the serial scan's graph mutate/restore sequence.
-
-        A parallel scan evaluates candidates in worker processes, so the
-        parent's graph never sees the per-candidate mutate/restore churn a
-        serial scan performs — but adjacency-*set* iteration order is
-        mutation-history-dependent, and seeded tie-breaks downstream
-        consume it.  This replays, per candidate, exactly the sequence
-        every serial path leaves behind (removals removed, insertions
-        added, insertions removed, removals re-added — the batched stacked
-        passes, the sequential previews, and the L=1 tally all reduce to
-        it), touching only the graph: the adjacency mirror and the store
-        are skipped because their outputs are exact values independent of
-        internal mutation history.
-        """
-        for removals, insertions in candidates:
-            for u, v in removals:
-                self._graph.remove_edge(u, v)
-            for u, v in insertions:
-                self._graph.add_edge(u, v)
-            for u, v in insertions:
-                self._graph.remove_edge(u, v)
-            for u, v in removals:
-                self._graph.add_edge(u, v)
-
     def close(self) -> None:
         """Release store resources (tiled spill files); idempotent."""
         if isinstance(self._store, TiledStore):
@@ -548,9 +546,9 @@ class DistanceSession:
 
         Removals are processed before insertions, each against the state
         produced by its predecessors, exactly mirroring how the greedy
-        algorithms apply a chosen combination.  The graph is touched (and
-        restored) with the same mutation sequence the scratch reference
-        uses, so adjacency-set iteration order stays mode-independent.
+        algorithms apply a chosen combination.  The edit is applied to the
+        graph and reverted before returning; the from-scratch fallback
+        reads the edited graph.
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
@@ -583,10 +581,10 @@ class DistanceSession:
         full-width row per candidate or takes the from-scratch route a
         sequential preview may (both yield the same matrix).  Here the
         rows are materialized from the cells before returning; the fused
-        variant leaves that to the first read.  The graph is touched (and
-        restored) per candidate with the same mutation sequence the
-        sequential previews use, so adjacency-set iteration order stays
-        scan-mode-independent.
+        variant leaves that to the first read.  The graph is never
+        mutated: each candidate is validated against it up front
+        (:func:`check_edit`), so an invalid one raises
+        :class:`~repro.errors.InvalidEdgeError` before any work is done.
 
         ``skip_unchanged=True`` is the fused-scan variant for consumers
         that only tally *within-L membership flips* (the opacity sessions):
@@ -602,6 +600,10 @@ class DistanceSession:
                 "removal candidates of one batch must each remove the same, "
                 "nonzero number of edges")
         singles = [(normalize_edge(u, v),) for u, v in insertions]
+        for combo in combos:
+            check_edit(self._graph, combo)
+        for single in singles:
+            check_edit(self._graph, (), single)
         return (self._batch_deltas(combos, False, skip_unchanged)
                 + self._batch_deltas(singles, True, skip_unchanged))
 
@@ -652,31 +654,17 @@ class DistanceSession:
                       skip_unchanged: bool) -> List[DistanceDelta | None]:
         """Cell-form deltas of same-size candidates, one chunk at a time.
 
-        Each chunk first replays the per-candidate graph mutate/restore
-        sequence of a sequential preview (so adjacency sets keep identical
-        iteration histories), then computes all of its candidates' changed
-        cells in one pass: :meth:`_insertion_cells` or
-        :meth:`_removal_repair`.
+        Each chunk computes all of its candidates' changed cells in one
+        pass, :meth:`_insertion_cells` or :meth:`_removal_repair`, from the
+        committed store and CSR snapshot; the graph is not touched.
         """
         deltas: List[DistanceDelta | None] = [None] * len(combos)
         if not combos:
             return deltas
-        edit, undo = ((self._graph.add_edge, self._graph.remove_edge)
-                      if insertion else
-                      (self._graph.remove_edge, self._graph.add_edge))
         length = self._length
         chunk = self._batch_chunk_size(len(combos[0]))
         for start in range(0, len(combos), chunk):
             part = combos[start:start + chunk]
-            for combo in part:
-                done = []
-                try:
-                    for u, v in combo:
-                        edit(u, v)
-                        done.append((u, v))
-                finally:
-                    for u, v in done:
-                        undo(u, v)
             edges = np.asarray(part, dtype=np.int64)
             candidate, row, col, old, new = (
                 self._insertion_cells(edges[:, 0]) if insertion
@@ -1113,12 +1101,7 @@ class DistanceSession:
                                                   dtype=self._store.dtype))
 
     def _revert(self, applied: list) -> None:
-        """Undo applied ops: insertions first, then removals, forward order.
-
-        This is the exact restore sequence of the pre-session
-        copy-evaluate-restore loops, preserved so both evaluation modes
-        leave identical adjacency-set histories behind.
-        """
+        """Undo applied ops: insertions first, then removals, forward order."""
         for kind, (u, v) in applied:
             if kind == "insert":
                 self._graph.remove_edge(u, v)

@@ -20,7 +20,7 @@ uninterrupted run (DESIGN.md §10).
 Dedup rides on the canonical fingerprint: re-submitting a semantically
 identical request returns the finished (or in-flight) job instead of
 recomputing anything.  Rows written before sweeps became grids (job kind
-``"sweep"``, requests carrying ``sweep_mode``) still load: every read of
+``"sweep"``) or before fingerprint version 5 still load: every read of
 stored request or response JSON goes through :func:`upgrade_stored`.
 """
 
@@ -62,6 +62,9 @@ JOB_KINDS: Dict[str, type] = {
 
 _STOP = object()  # worker-queue sentinel
 
+#: Request keys of older stored rows that :func:`upgrade_stored` drops.
+_RETIRED_KEYS = ("sweep_mode", "evaluation_mode", "scan_mode")
+
 
 def parse_request(kind: str, payload: Any) -> Any:
     """Build the request record for a job ``kind`` from its JSON payload."""
@@ -81,13 +84,20 @@ def upgrade_stored(kind: str, payload: Any) -> Tuple[str, Any]:
     Rows persisted before θ sweeps became one-axis grids carry kind
     ``"sweep"`` and a ``sweep_mode`` key in every request, response and
     sweep record; this maps the kind to ``"grid"`` and drops those keys,
-    so the strict ``from_dict`` parsers accept the row.  Current rows
-    pass through unchanged.
+    so the strict ``from_dict`` parsers accept the row.  Rows persisted
+    before fingerprint version 5 carry ``evaluation_mode`` and
+    ``scan_mode`` in every request; both are dropped, and so is the
+    ``scan_workers`` of a request whose ``scan_mode`` was not
+    ``"parallel"``, where it never took effect.  Current rows pass
+    through unchanged.
     """
     def strip(value: Any) -> Any:
         if isinstance(value, dict):
+            retired = set(_RETIRED_KEYS)
+            if value.get("scan_mode", "parallel") != "parallel":
+                retired.add("scan_workers")
             return {key: strip(item) for key, item in value.items()
-                    if key != "sweep_mode"}
+                    if key not in retired}
         if isinstance(value, list):
             return [strip(item) for item in value]
         return value
@@ -172,13 +182,12 @@ class JobManager:
         Service-wide default of the scale-tier byte budget, applied to
         every request that set none.
     scan_workers:
-        Service-wide default of the parallel-scan pool size (the
-        ``--scan-workers`` flag of ``repro-lopacity serve``).  Applied at
-        execution time — like the scale defaults, the stored request and
-        its dedup fingerprint stay untouched — to every request that kept
-        the default ``scan_mode="batched"`` and chose no ``scan_workers``
-        of its own: those requests run with ``scan_mode="parallel"``.
-        Requests naming a scan mode or worker count explicitly always win.
+        Service-wide default of the scan-pool size (the ``--scan-workers``
+        flag of ``repro-lopacity serve``).  Applied at execution time —
+        like the scale defaults, the stored request and its dedup
+        fingerprint stay untouched — to every request whose
+        ``scan_workers`` is ``None``; requests naming a worker count
+        always win.
     """
 
     def __init__(self, store: RunStore, *, data_dir: Optional[str] = None,
@@ -407,8 +416,8 @@ class JobManager:
 
         Only requests that did not choose for themselves are touched
         (``scale_tier == "auto"`` / ``scale_budget_bytes is None`` /
-        default ``scan_mode`` with no ``scan_workers``), so a job spec
-        naming an explicit tier, budget, or scan configuration keeps it.
+        ``scan_workers is None``), so a job spec naming an explicit tier,
+        budget, or pool size keeps it.
         Applied at execution time — the stored ``request_json`` (and with
         it the dedup fingerprint) stays exactly what the client submitted.
         """
@@ -424,11 +433,7 @@ class JobManager:
                     and req.scale_budget_bytes is None):
                 overrides["scale_budget_bytes"] = self._scale_budget_bytes
             if self._scan_workers is not None and req.scan_workers is None:
-                if req.scan_mode == "batched":
-                    overrides["scan_mode"] = "parallel"
-                    overrides["scan_workers"] = self._scan_workers
-                elif req.scan_mode == "parallel":
-                    overrides["scan_workers"] = self._scan_workers
+                overrides["scan_workers"] = self._scan_workers
             return dataclasses.replace(req, **overrides) if overrides else req
 
         if kind == "anonymize":

@@ -12,8 +12,13 @@ from repro.api import (
     run_grid,
     sweep,
 )
-from repro.api.sweeps import execute_sample_group, sample_groups
+from repro.api.sweeps import (
+    execute_sample_group,
+    plan_sample_group,
+    sample_groups,
+)
 from repro.errors import ConfigurationError
+from reference_session import ScratchSession, use_session
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                             include_utility=True)
@@ -156,14 +161,15 @@ class TestExecution:
         for request, response in zip(requests, responses):
             assert_response_parity(response, anonymize(request))
 
-    def test_scratch_groups_skip_the_distance_cache(self):
-        requests = [BASE.with_overrides(evaluation_mode="scratch", theta=theta)
-                    for theta in (0.8, 0.6)]
+    def test_groups_match_the_scratch_reference(self):
+        requests = [BASE.with_overrides(theta=theta) for theta in (0.8, 0.6)]
+        with use_session(ScratchSession):
+            expected = [anonymize(request) for request in requests]
         cache = ExecutionCache()
         responses = execute_sample_group(requests, cache=cache)
-        assert cache.distance_computes == 0
-        for request, response in zip(requests, responses):
-            assert_response_parity(response, anonymize(request))
+        assert cache.distance_computes == 1
+        for response, reference in zip(responses, expected):
+            assert_response_parity(response, reference)
 
     def test_responses_in_request_order(self):
         grid = GridRequest.from_axes(BASE, datasets=("gnutella", "google"),
@@ -275,12 +281,13 @@ class TestExecutionCache:
         cache.graph_for(BASE)
         assert cache.sample_loads == 2
 
-    def test_l_max_ignores_scratch_requests(self):
-        # A scratch-mode L=3 request must not inflate the shared engine
-        # run of the incremental L=1 groups.
+    def test_l_max_covers_every_request(self):
+        # An L=3 request raises the one shared engine run to L_max = 3,
+        # which the L=1 groups then slice.
         requests = [BASE.with_overrides(theta=theta) for theta in (0.8, 0.6)]
-        requests.append(BASE.with_overrides(evaluation_mode="scratch",
-                                            length_threshold=3, theta=0.8))
+        requests.append(BASE.with_overrides(length_threshold=3, theta=0.8))
+        _plans, l_max = plan_sample_group(requests)
+        assert l_max == {"numpy": 3}
         cache = ExecutionCache()
         responses = execute_sample_group(requests, cache=cache)
         assert cache.distance_computes == 1
@@ -298,8 +305,7 @@ class TestCustomRegistry:
         registry = AnonymizerRegistry()
         registry.register("custom-rem", EdgeRemovalAnonymizer,
                           accepts=("theta", "length_threshold", "lookahead",
-                                   "seed", "engine", "evaluation_mode",
-                                   "scan_mode", "max_steps"))
+                                   "seed", "engine", "max_steps"))
         requests = [BASE.with_overrides(algorithm="custom-rem", theta=theta,
                                         length_threshold=length,
                                         include_utility=False)
@@ -485,8 +491,7 @@ class TestParallelScanGrid:
         base = BASE.with_overrides(length_threshold=2)
         serial = run_grid(GridRequest.from_axes(base, thetas=thetas),
                           max_workers=0)
-        parallel_base = base.with_overrides(scan_mode="parallel",
-                                            scan_workers=4)
+        parallel_base = base.with_overrides(scan_workers=4)
         observed = run_grid(GridRequest.from_axes(parallel_base,
                                                   thetas=thetas),
                             max_workers=0)

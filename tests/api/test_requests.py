@@ -25,41 +25,32 @@ class TestAnonymizationRequest:
         assert restored == request
         assert restored.edges == request.edges
 
-    def test_evaluation_mode_round_trips_and_reaches_algorithms(self):
-        request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       evaluation_mode="scratch")
-        restored = AnonymizationRequest.from_json(request.to_json())
-        assert restored.evaluation_mode == "scratch"
-        assert request.algorithm_params()["evaluation_mode"] == "scratch"
-        # Defaults to the delta-evaluated sessions.
-        assert AnonymizationRequest(algorithm="rem", edges=EDGES).evaluation_mode \
-            == "incremental"
+    @pytest.mark.parametrize("field,value", [("evaluation_mode", "scratch"),
+                                             ("scan_mode", "per_candidate")])
+    def test_retired_evaluation_knobs_are_unknown_fields(self, field, value):
+        payload = dict(AnonymizationRequest(algorithm="rem",
+                                            edges=EDGES).to_dict())
+        assert field not in payload
+        assert field not in AnonymizationRequest(
+            algorithm="rem", edges=EDGES).algorithm_params()
+        payload[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            AnonymizationRequest.from_dict(payload)
 
-    def test_unknown_evaluation_mode_raises_at_construction_time(self):
-        with pytest.raises(ConfigurationError, match="evaluation_mode"):
-            EdgeRemovalAnonymizer(evaluation_mode="lazy")
-
-    def test_scan_mode_round_trips_and_reaches_algorithms(self):
-        request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       scan_mode="per_candidate")
-        restored = AnonymizationRequest.from_json(request.to_json())
-        assert restored.scan_mode == "per_candidate"
-        assert request.algorithm_params()["scan_mode"] == "per_candidate"
-        # Defaults to the stacked batch scans.
-        assert AnonymizationRequest(algorithm="rem", edges=EDGES).scan_mode \
-            == "batched"
-
-    def test_unknown_scan_mode_raises_at_construction_time(self):
-        with pytest.raises(ConfigurationError, match="scan_mode"):
-            EdgeRemovalAnonymizer(scan_mode="vectorized")
+    @pytest.mark.parametrize("field,value", [("evaluation_mode", "scratch"),
+                                             ("scan_mode", "per_candidate")])
+    def test_retired_evaluation_knobs_raise_at_construction_time(self, field,
+                                                                 value):
+        with pytest.raises(TypeError, match=field):
+            EdgeRemovalAnonymizer(**{field: value})
 
     def test_scan_workers_round_trips_and_reaches_algorithms(self):
         request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       scan_mode="parallel", scan_workers=3)
+                                       scan_workers=3)
         restored = AnonymizationRequest.from_json(request.to_json())
         assert restored.scan_workers == 3
         assert request.algorithm_params()["scan_workers"] == 3
-        # Defaults to auto sizing (None).
+        # Defaults to a serial scan (None).
         assert AnonymizationRequest(algorithm="rem", edges=EDGES).scan_workers \
             is None
 

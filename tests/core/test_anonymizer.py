@@ -29,14 +29,17 @@ class TestAnonymizerConfig:
         ("max_combinations", 0),
         ("insertion_candidate_cap", 0),
         ("engine", "no-such-engine"),
-        ("evaluation_mode", "lazy"),
-        ("scan_mode", "vectorized"),
         ("swap_sample_size", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
         config = AnonymizerConfig(**{field: value})
         with pytest.raises(ConfigurationError):
             config.validate()
+
+    @pytest.mark.parametrize("field", ["evaluation_mode", "scan_mode"])
+    def test_retired_evaluation_knobs_are_not_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            AnonymizerConfig(**{field: "scratch"})
 
     def test_every_available_engine_is_valid(self):
         from repro.graph import available_engines

@@ -10,13 +10,19 @@ from repro.core.lookahead import _combinations_capped, search_best_combination
 
 
 def _make_evaluator(scores):
-    """Build an evaluate() function from a mapping frozenset(edges) -> fraction."""
+    """Build a batch evaluator from a mapping frozenset(edges) -> fraction.
+
+    ``calls`` records every combination as the evaluator consumes it, one
+    at a time, across all levels.
+    """
     calls = []
 
-    def evaluate(combo):
-        calls.append(tuple(combo))
-        fraction = scores[frozenset(combo)]
-        return CandidateOutcome(edges=tuple(combo), fraction=fraction, types_at_max=1)
+    def evaluate(combos):
+        for combo in combos:
+            calls.append(tuple(combo))
+            yield CandidateOutcome(edges=tuple(combo),
+                                   fraction=scores[frozenset(combo)],
+                                   types_at_max=1)
 
     evaluate.calls = calls
     return evaluate
@@ -74,7 +80,7 @@ class TestSearchBestCombination:
         assert best.edges == ((0, 1),)
 
     def test_empty_candidate_list_returns_none(self):
-        best = search_best_combination([], lambda combo: None,
+        best = search_best_combination([], lambda combos: iter(()),
                                        current_fraction=Fraction(1), lookahead=2,
                                        rng=random.Random(0), max_combinations=100)
         assert best is None
@@ -195,16 +201,13 @@ class TestBatchEvaluation:
             frozenset({(0, 1)}): Fraction(1, 2),
             frozenset({(0, 2)}): Fraction(3, 4),
         }
-        sequential = _make_evaluator(scores)
         evaluate_batch = _make_batch_evaluator(scores)
-        best = search_best_combination(edges, sequential,
+        best = search_best_combination(edges, evaluate_batch,
                                        current_fraction=Fraction(1),
                                        lookahead=2, rng=random.Random(0),
-                                       max_combinations=100,
-                                       evaluate_batch=evaluate_batch)
+                                       max_combinations=100)
         assert best.edges == ((0, 1),)
         assert evaluate_batch.calls == [[((0, 1),), ((0, 2),)]]
-        assert sequential.calls == []  # size 1 went through the batch path
 
     _ESCALATING_SCORES = {
         frozenset({(0, 1)}): Fraction(1),
@@ -218,32 +221,28 @@ class TestBatchEvaluation:
 
     def test_every_level_uses_the_batch_evaluator_in_order(self):
         edges = [(0, 1), (0, 2), (1, 2)]
-        sequential = _make_evaluator(self._ESCALATING_SCORES)
         evaluate_batch = _make_batch_evaluator(self._ESCALATING_SCORES)
-        best = search_best_combination(edges, sequential,
+        best = search_best_combination(edges, evaluate_batch,
                                        current_fraction=Fraction(1),
                                        lookahead=3, rng=random.Random(0),
-                                       max_combinations=100,
-                                       evaluate_batch=evaluate_batch)
+                                       max_combinations=100)
         assert set(best.edges) == {(0, 1), (0, 2), (1, 2)}
-        # One call per level, each in combination order; no level falls
-        # back to per-combination evaluation.
+        # One call per level, each in combination order.
         assert evaluate_batch.calls == [
             [((0, 1),), ((0, 2),), ((1, 2),)],
             [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))],
             [((0, 1), (0, 2), (1, 2))],
         ]
-        assert sequential.calls == []
 
-    def test_without_a_batch_hook_every_level_is_per_combination(self):
+    def test_every_level_streams_combinations_one_at_a_time(self):
         edges = [(0, 1), (0, 2), (1, 2)]
-        sequential = _make_evaluator(self._ESCALATING_SCORES)
-        best = search_best_combination(edges, sequential,
+        streaming = _make_evaluator(self._ESCALATING_SCORES)
+        best = search_best_combination(edges, streaming,
                                        current_fraction=Fraction(1),
                                        lookahead=3, rng=random.Random(0),
                                        max_combinations=100)
         assert set(best.edges) == {(0, 1), (0, 2), (1, 2)}
-        assert sequential.calls == [
+        assert streaming.calls == [
             ((0, 1),), ((0, 2),), ((1, 2),),
             ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)),
             ((0, 1), (0, 2), (1, 2)),

@@ -1,4 +1,9 @@
-"""Unit tests for the stateful opacity session and the evaluation modes."""
+"""Unit tests for the stateful opacity session.
+
+Differential suites compare it with the test-side references of
+:mod:`reference_session`: the copy-evaluate-restore :class:`ScratchSession`
+and the one-candidate-at-a-time :class:`PerCandidateSession`.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ from repro.core import (
     OpacitySession,
 )
 from repro.core.opacity_session import _BatchTotals
-from repro.errors import ConfigurationError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance_delta import (
     DistanceSession,
@@ -29,6 +33,13 @@ from repro.graph.distance_delta import (
     _DenseAdjacency,
 )
 from repro.graph.distance_store import StoreConfig
+from reference_session import PerCandidateSession, ScratchSession, reference_run
+
+#: The two session factories of the evaluation-strategy differentials.
+SESSIONS = {"incremental": OpacitySession, "scratch": ScratchSession}
+
+#: The batched scans of the shipped session and the per-candidate reference.
+SCANS = {"batched": OpacitySession, "per_candidate": PerCandidateSession}
 
 ALL_ALGORITHMS = [
     (EdgeRemovalAnonymizer, dict(length_threshold=2, theta=0.4, seed=0)),
@@ -54,15 +65,15 @@ def assert_results_identical(first, second):
 
 
 class TestSessionBasics:
-    def test_rejects_unknown_mode(self, paper_example_graph):
+    def test_rejects_the_retired_mode_keyword(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        with pytest.raises(ConfigurationError):
-            OpacitySession(computer, paper_example_graph, mode="lazy")
+        with pytest.raises(TypeError):
+            OpacitySession(computer, paper_example_graph, mode="scratch")
 
     @pytest.mark.parametrize("mode", ["scratch", "incremental"])
     def test_current_matches_stateless_evaluator(self, paper_example_graph, mode):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode=mode)
+        session = SESSIONS[mode](computer, paper_example_graph)
         expected = computer.evaluate(paper_example_graph)
         observed = session.current()
         assert observed.max_fraction == expected.max_fraction
@@ -72,7 +83,7 @@ class TestSessionBasics:
     @pytest.mark.parametrize("mode", ["scratch", "incremental"])
     def test_evaluate_edit_leaves_no_trace(self, paper_example_graph, mode):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode=mode)
+        session = SESSIONS[mode](computer, paper_example_graph)
         before = paper_example_graph.edge_set()
         session.evaluate_edit(removals=[(0, 1)])
         session.evaluate_edit(insertions=[(0, 6)])
@@ -81,10 +92,8 @@ class TestSessionBasics:
     def test_evaluate_edit_matches_scratch_reference(self, paper_example_graph):
         typing = DegreePairTyping(paper_example_graph)
         computer = OpacityComputer(typing, 2)
-        incremental = OpacitySession(computer, paper_example_graph.copy(),
-                                     mode="incremental")
-        scratch = OpacitySession(computer, paper_example_graph.copy(),
-                                 mode="scratch")
+        incremental = OpacitySession(computer, paper_example_graph.copy())
+        scratch = ScratchSession(computer, paper_example_graph.copy())
         for edge in list(paper_example_graph.edges()):
             left = incremental.evaluate_edit(removals=[edge])
             right = scratch.evaluate_edit(removals=[edge])
@@ -97,7 +106,7 @@ class TestSessionBasics:
     def test_apply_edit_keeps_state_in_sync(self, paper_example_graph):
         typing = DegreePairTyping(paper_example_graph)
         computer = OpacityComputer(typing, 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         session.apply_edit(removals=[(0, 1)])
         session.apply_edit(insertions=[(0, 6)])
         expected = computer.evaluate(paper_example_graph)
@@ -109,8 +118,8 @@ class TestSessionBasics:
         graph = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
         typing = ExplicitPairTyping({(0, 2): "near", (0, 4): "far", (1, 3): "near"})
         computer = OpacityComputer(typing, 2)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         assert incremental.evaluate_edit(removals=[(1, 2)]) == \
             scratch.evaluate_edit(removals=[(1, 2)])
         assert incremental.evaluate_edit(insertions=[(0, 4)]) == \
@@ -124,8 +133,8 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     def test_end_to_end_runs_are_bit_identical(self, algorithm, params):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
-        incremental = algorithm(evaluation_mode="incremental", **params).anonymize(graph)
-        scratch = algorithm(evaluation_mode="scratch", **params).anonymize(graph)
+        incremental = algorithm(**params).anonymize(graph)
+        scratch = reference_run(algorithm(**params), graph)
         assert_results_identical(incremental, scratch)
 
 
@@ -155,8 +164,8 @@ class TestObserverParity:
         outcomes = {}
         for mode in ("incremental", "scratch"):
             observer = _StopAfterEvaluations(limit)
-            result = algorithm(evaluation_mode=mode, **params).anonymize(
-                graph, observer=observer)
+            result = reference_run(algorithm(**params), graph, SESSIONS[mode],
+                                   observer=observer)
             outcomes[mode] = (result.evaluations, result.stop_reason,
                               [step.edges for step in result.steps],
                               result.anonymized_graph.edge_set())
@@ -170,9 +179,9 @@ class TestObserverParity:
         limit = 5
         for mode in ("incremental", "scratch"):
             observer = _StopAfterEvaluations(limit)
-            result = EdgeRemovalAnonymizer(
-                length_threshold=2, theta=0.0, seed=0,
-                evaluation_mode=mode).anonymize(graph, observer=observer)
+            result = reference_run(
+                EdgeRemovalAnonymizer(length_threshold=2, theta=0.0, seed=0),
+                graph, SESSIONS[mode], observer=observer)
             assert result.stop_reason == "observer"
             # The scan for a single step spans |E| evaluations, so stopping
             # at 5 proves per-evaluation polling survived the refactor.
@@ -192,12 +201,13 @@ class TestObserverParity:
         limit = 300
         assert graph.num_edges < limit
         outcomes = {}
-        for scan_mode in ("batched", "per_candidate"):
+        for scan_mode, factory in (("batched", OpacitySession),
+                                   ("per_candidate", PerCandidateSession)):
             observer = _StopAfterEvaluations(limit)
-            result = algorithm(length_threshold=2, theta=0.0, lookahead=2,
-                               seed=0, scan_mode=scan_mode,
-                               insertion_candidate_cap=10).anonymize(
-                graph, observer=observer)
+            result = reference_run(
+                algorithm(length_threshold=2, theta=0.0, lookahead=2, seed=0,
+                          insertion_candidate_cap=10),
+                graph, factory, observer=observer)
             assert result.stop_reason == "observer"
             # The stop lands on the limit-th evaluation; the greedy loop then
             # re-evaluates the (restored) graph once.
@@ -215,7 +225,7 @@ class TestEvaluateEdits:
     @pytest.mark.parametrize("mode", ["scratch", "incremental"])
     def test_single_edge_batches_match_per_candidate(self, paper_example_graph, mode):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode=mode)
+        session = SESSIONS[mode](computer, paper_example_graph)
         removals = [((edge,), ()) for edge in paper_example_graph.edges()]
         insertions = [((), (edge,)) for edge in paper_example_graph.non_edges()]
         for candidates in (removals, insertions):
@@ -226,7 +236,7 @@ class TestEvaluateEdits:
     def test_multi_edge_candidates_match_per_candidate(self, mode):
         graph = erdos_renyi_graph(14, 0.3, seed=5)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph, mode=mode)
+        session = SESSIONS[mode](computer, graph)
         edges = list(graph.edges())
         absent = list(graph.non_edges())
         candidates = [((edges[0], edges[1]), (absent[0], absent[1])),
@@ -237,7 +247,7 @@ class TestEvaluateEdits:
 
     def test_batch_leaves_no_trace(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         before = paper_example_graph.edge_set()
         current = session.current()
         session.evaluate_edits([((edge,), ()) for edge in before])
@@ -246,21 +256,21 @@ class TestEvaluateEdits:
 
     def test_empty_candidate_list(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         assert session.evaluate_edits([]) == []
 
     def test_explicit_typing_batches_match_per_candidate(self):
         graph = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
         typing = ExplicitPairTyping({(0, 2): "near", (0, 4): "far", (1, 3): "near"})
         computer = OpacityComputer(typing, 2)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         candidates = [((edge,), ()) for edge in graph.edges()]
         expected = [session.evaluate_edit(r, i) for r, i in candidates]
         assert session.evaluate_edits(candidates) == expected
 
     def test_batches_interleaved_with_applied_edits(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         for _ in range(3):
             candidates = [((edge,), ()) for edge in session.graph.edges()]
             evaluations = session.evaluate_edits(candidates)
@@ -330,6 +340,47 @@ class TestNoRemovalSlab:
         session.close()
 
 
+class TestPurePreviews:
+    """Batched scans only read the graph: no edge is added or removed.
+
+    ``Graph.add_edge``/``remove_edge`` raise while the scans run; the
+    expected outcomes come from :meth:`OpacitySession.evaluate_edit`
+    beforehand (a sequential preview applies and reverts its edit).
+    """
+
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    def test_batched_scans_never_mutate_the_graph(self, monkeypatch, length,
+                                                  tier):
+        graph = erdos_renyi_graph(16, 0.3, seed=4)
+        computer = OpacityComputer(DegreePairTyping(graph), length)
+        session = OpacitySession(computer, graph, store_config=StoreConfig(
+            tier=tier, budget_bytes=1 << 12, tile_rows=4))
+        edges = list(graph.edges())
+        absent = list(graph.non_edges())
+        scans = [  # rem-ins removals and insertions, a look-ahead level 2
+            [((edge,), ()) for edge in edges],
+            [((), (edge,)) for edge in absent[:40]],
+            [(pair, ()) for pair in list(combinations(edges, 2))[:200]],
+        ]
+        if length == 1:  # the L = 1 tally takes GADES swaps too
+            scans.append([((edges[0], edges[1]), (absent[0], absent[1])),
+                          ((edges[2],), (absent[2],))])
+        expected = [[session.evaluate_edit(removals, insertions)
+                     for removals, insertions in scan] for scan in scans]
+
+        def forbidden(self, u, v):
+            raise AssertionError(f"a batched scan mutated edge ({u}, {v})")
+
+        before = graph.edge_set()
+        monkeypatch.setattr(Graph, "add_edge", forbidden)
+        monkeypatch.setattr(Graph, "remove_edge", forbidden)
+        for scan, want in zip(scans, expected):
+            assert session.evaluate_edits(scan) == want
+        assert graph.edge_set() == before
+        session.close()
+
+
 class TestLazyTotals:
     """``total_opacity`` is computed per batch, and only when it is read."""
 
@@ -351,9 +402,9 @@ class TestLazyTotals:
     def test_rem_ins_scans_compute_no_totals(self, computed, scan_mode,
                                              length):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
-        result = EdgeRemovalInsertionAnonymizer(
+        result = reference_run(EdgeRemovalInsertionAnonymizer(
             length_threshold=length, theta=0.3, seed=0, max_steps=3,
-            insertion_candidate_cap=30, scan_mode=scan_mode).anonymize(graph)
+            insertion_candidate_cap=30), graph, SCANS[scan_mode])
         assert result.evaluations > 0
         assert computed == []
 
@@ -361,8 +412,8 @@ class TestLazyTotals:
     def test_gaded_max_computes_each_batch_at_most_once(self, computed,
                                                         scan_mode):
         graph = erdos_renyi_graph(25, 0.2, seed=2)
-        result = GadedMaxAnonymizer(theta=0.4, seed=0,
-                                    scan_mode=scan_mode).anonymize(graph)
+        result = reference_run(GadedMaxAnonymizer(theta=0.4, seed=0), graph,
+                               SCANS[scan_mode])
         assert result.num_steps > 0
         assert computed
         assert len({id(batch) for batch in computed}) == len(computed)
@@ -371,7 +422,7 @@ class TestLazyTotals:
         graph = erdos_renyi_graph(14, 0.3, seed=5)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
         incremental = OpacitySession(computer, graph.copy())
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        scratch = ScratchSession(computer, graph.copy())
         candidates = [((edge,), ()) for edge in graph.edges()]
         lazy = incremental.evaluate_edits(candidates)
         incremental.apply_edit(*candidates[0])
@@ -389,8 +440,8 @@ class TestViolatingPairIndices:
     def test_incremental_mask_tracks_scratch_across_edits(self):
         graph = erdos_renyi_graph(16, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         for _ in range(6):
             max_types = self._max_types(incremental)
             left = incremental.violating_pair_indices(max_types)
@@ -406,9 +457,9 @@ class TestViolatingPairIndices:
     def test_mask_survives_from_scratch_fallback_deltas(self):
         graph = erdos_renyi_graph(16, 0.25, seed=4)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental",
+        incremental = OpacitySession(computer, graph.copy(),
                                      fallback_row_fraction=0.0)
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        scratch = ScratchSession(computer, graph.copy())
         max_types = self._max_types(incremental)
         incremental.violating_pair_indices(max_types)  # materialize the mask
         for edge in list(graph.edges())[:4]:
@@ -425,8 +476,9 @@ class TestScanModeEquivalence:
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     def test_end_to_end_runs_are_bit_identical(self, algorithm, params):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
-        batched = algorithm(scan_mode="batched", **params).anonymize(graph)
-        sequential = algorithm(scan_mode="per_candidate", **params).anonymize(graph)
+        batched = algorithm(**params).anonymize(graph)
+        sequential = reference_run(algorithm(**params), graph,
+                                   PerCandidateSession)
         assert_results_identical(batched, sequential)
 
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
@@ -435,18 +487,18 @@ class TestScanModeEquivalence:
         outcomes = {}
         for scan_mode in ("per_candidate", "batched"):
             observer = _StopAfterEvaluations(9)
-            result = algorithm(scan_mode=scan_mode, **params).anonymize(
-                graph, observer=observer)
+            result = reference_run(algorithm(**params), graph,
+                                   SCANS[scan_mode], observer=observer)
             outcomes[scan_mode] = (result.evaluations, result.stop_reason,
                                    [step.edges for step in result.steps],
                                    result.anonymized_graph.edge_set())
         assert outcomes["per_candidate"] == outcomes["batched"]
 
-    def test_rejects_unknown_scan_mode(self):
-        with pytest.raises(ConfigurationError):
-            EdgeRemovalAnonymizer(scan_mode="vectorized")
-        with pytest.raises(ConfigurationError):
-            GadesAnonymizer(scan_mode="vectorized")
+    def test_rejects_the_retired_scan_mode_keyword(self):
+        with pytest.raises(TypeError):
+            EdgeRemovalAnonymizer(scan_mode="per_candidate")
+        with pytest.raises(TypeError):
+            GadesAnonymizer(scan_mode="per_candidate")
 
 
 class TestLengthOneFastPath:
@@ -456,8 +508,8 @@ class TestLengthOneFastPath:
     def test_l1_batch_matches_per_candidate_and_scratch(self):
         graph = erdos_renyi_graph(16, 0.3, seed=9)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         edges = list(graph.edges())
         absent = list(graph.non_edges())
         candidates = ([((edge,), ()) for edge in edges[:8]]
@@ -471,7 +523,7 @@ class TestLengthOneFastPath:
     def test_l1_batch_leaves_no_trace(self):
         graph = erdos_renyi_graph(12, 0.3, seed=4)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         before = graph.edge_set()
         session.evaluate_edits([((edge,), ()) for edge in before])
         assert graph.edge_set() == before
@@ -479,7 +531,7 @@ class TestLengthOneFastPath:
     def test_l1_batch_after_applied_edits(self):
         graph = erdos_renyi_graph(12, 0.35, seed=6)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         for _ in range(2):
             candidates = [((edge,), ()) for edge in session.graph.edges()]
             evaluations = session.evaluate_edits(candidates)

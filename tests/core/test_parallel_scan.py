@@ -1,4 +1,4 @@
-"""Tests for the intra-group parallel candidate scan (``scan_mode="parallel"``).
+"""Tests for the intra-group parallel candidate scan (``scan_workers`` ≥ 2).
 
 The scan pool promises three things, and these tests pin all of them:
 
@@ -14,8 +14,8 @@ The scan pool promises three things, and these tests pin all of them:
 * **No nested pools** — pool workers (θ-group or scan) never start scan
   pools of their own.
 
-The CI machine may be single-core, so every test passes an explicit
-``scan_workers`` (the auto heuristic resolves to 0 there by design).
+Every pooled test passes an explicit ``scan_workers``; ``None``, 0 and 1
+scan serially.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ from repro.graph.distance import available_engines
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
 from tests.property.strategies import graphs, length_bounds
+from reference_session import PerCandidateSession, reference_run
 
 engines = st.sampled_from(sorted(available_engines()))
 
-#: Explicit pool size used throughout — the auto heuristic returns 0 on
-#: the single-core CI machine, which would silently skip the pool path.
+#: Explicit pool size used throughout (the smallest that starts a pool).
 WORKERS = 2
 
 
@@ -69,35 +69,39 @@ def make_candidates(graph, insertions=4):
 
 
 class TestResolveScanWorkers:
-    def test_serial_modes_never_start_pools(self):
-        assert resolve_scan_workers("batched", 4) == 0
-        assert resolve_scan_workers("per_candidate", 4) == 0
+    def test_serial_sizes_never_start_pools(self):
+        graph = erdos_renyi_graph(16, 0.3, seed=1)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        assert resolve_scan_workers(None) == 0
+        for workers in (None, 0, 1):
+            session = OpacitySession(
+                computer, graph.copy(),
+                scan_workers=resolve_scan_workers(workers))
+            session.evaluate_edits(make_candidates(graph))
+            assert session.scan_parallelism == 1
+            assert session.parallel_scans == 0
+            session.close()
 
     def test_explicit_request_wins(self):
-        assert resolve_scan_workers("parallel", 3) == 3
-        assert resolve_scan_workers("parallel", 0) == 0
+        assert resolve_scan_workers(3) == 3
+        assert resolve_scan_workers(0) == 0
 
-    def test_auto_sizes_by_core_count(self, monkeypatch):
-        monkeypatch.setattr(scan_pool_module.os, "cpu_count", lambda: 8)
-        assert resolve_scan_workers("parallel", None) == 4
-        monkeypatch.setattr(scan_pool_module.os, "cpu_count", lambda: 2)
-        assert resolve_scan_workers("parallel", None) == 2
-        monkeypatch.setattr(scan_pool_module.os, "cpu_count", lambda: 1)
-        assert resolve_scan_workers("parallel", None) == 0
+    def test_none_never_auto_sizes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_scan_workers(None) == 0
+        result = EdgeRemovalAnonymizer(length_threshold=2, theta=0.5, seed=0,
+                                       max_steps=1).anonymize(
+            erdos_renyi_graph(16, 0.3, seed=1))
+        assert result.debug_info["scan_workers"] == 0
 
     def test_pool_workers_refuse_nested_pools(self, monkeypatch):
         monkeypatch.setattr(scan_pool_module, "_IN_POOL_WORKER", False)
         assert not in_pool_worker()
-        assert resolve_scan_workers("parallel", 3) == 3
+        assert resolve_scan_workers(3) == 3
         mark_pool_worker()
         assert in_pool_worker()
-        assert resolve_scan_workers("parallel", 3) == 0
-        assert resolve_scan_workers("parallel", None) == 0
-
-    def test_parallel_scratch_config_rejected(self):
-        with pytest.raises(ConfigurationError, match="scratch"):
-            AnonymizerConfig(scan_mode="parallel",
-                             evaluation_mode="scratch").validate()
+        assert resolve_scan_workers(3) == 0
+        assert resolve_scan_workers(None) == 0
 
     def test_negative_scan_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="scan_workers"):
@@ -105,7 +109,7 @@ class TestResolveScanWorkers:
 
 
 class TestParallelScanEquivalence:
-    """Differential suite: ``parallel`` ≡ ``batched`` ≡ ``per_candidate``."""
+    """Differential suite: pooled ≡ serial batched ≡ per-candidate scans."""
 
     @given(graphs(min_vertices=6, max_vertices=12), length_bounds, engines)
     @settings(max_examples=10, deadline=None)
@@ -113,8 +117,8 @@ class TestParallelScanEquivalence:
                                                     engine):
         computer = OpacityComputer(DegreePairTyping(graph), length,
                                    engine=engine)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -134,8 +138,8 @@ class TestParallelScanEquivalence:
     def test_scan_survives_applied_edits(self, graph, length, seed):
         """Apply a few edits between scans — pool stays in sync with parent."""
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             for _ in range(3):
@@ -188,10 +192,8 @@ class TestParallelScanEquivalence:
         graph = erdos_renyi_graph(24, 0.18, seed=5)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="batched",
             scale_tier="dense", **params).anonymize(graph)
         observed = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="parallel",
             scan_workers=WORKERS, scale_tier="tiled",
             scale_budget_bytes=4096, **params).anonymize(graph)
         self._assert_results_equal(observed, reference)
@@ -209,13 +211,9 @@ class TestParallelScanEquivalence:
 
     @classmethod
     def _assert_identical(cls, algorithm, params, graph):
-        reference = algorithm(evaluation_mode="incremental",
-                              scan_mode="batched", **params).anonymize(graph)
-        serial = algorithm(evaluation_mode="incremental",
-                           scan_mode="per_candidate", **params).anonymize(graph)
-        observed = algorithm(evaluation_mode="incremental",
-                             scan_mode="parallel", scan_workers=WORKERS,
-                             **params).anonymize(graph)
+        reference = algorithm(**params).anonymize(graph)
+        serial = reference_run(algorithm(**params), graph, PerCandidateSession)
+        observed = algorithm(scan_workers=WORKERS, **params).anonymize(graph)
         cls._assert_results_equal(serial, reference)
         cls._assert_results_equal(observed, reference)
         assert observed.debug_info["scan_workers"] == WORKERS
@@ -226,7 +224,7 @@ class TestCrashSafety:
     def test_arena_is_unlinked_while_the_pool_runs(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        session = OpacitySession(computer, graph.copy(), mode="incremental",
+        session = OpacitySession(computer, graph.copy(),
                                  scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -243,8 +241,8 @@ class TestCrashSafety:
     def test_sigkilled_worker_falls_back_serially(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -273,8 +271,8 @@ class TestCrashSafety:
         monkeypatch.setattr(shm_module, "publish_session_store", refuse)
         graph = erdos_renyi_graph(16, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -296,8 +294,8 @@ class TestCrashSafety:
                             lambda self, pairs: None)
         graph = erdos_renyi_graph(16, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -318,9 +316,7 @@ class TestCrashSafety:
     def test_sigkill_mid_greedy_run_keeps_results_identical(self):
         graph = erdos_renyi_graph(18, 0.25, seed=7)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
-        reference = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="batched",
-            **params).anonymize(graph)
+        reference = EdgeRemovalAnonymizer(**params).anonymize(graph)
 
         killed = []
 
@@ -337,7 +333,6 @@ class TestCrashSafety:
                 return outcome
 
         observed = KillAfterFirstStep(
-            evaluation_mode="incremental", scan_mode="parallel",
             scan_workers=WORKERS, **params).anonymize(graph)
         assert killed, "the run never started a scan pool"
         TestParallelScanEquivalence._assert_results_equal(observed, reference)
@@ -349,14 +344,11 @@ class TestDebugInfoAndFallbackFraction:
     def test_debug_info_reports_the_scan_configuration(self):
         graph = erdos_renyi_graph(18, 0.25, seed=2)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=3)
-        serial = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="batched",
-            **params).anonymize(graph)
+        serial = EdgeRemovalAnonymizer(**params).anonymize(graph)
         assert serial.debug_info["scan_workers"] == 0
         assert serial.debug_info["parallel_scans"] == 0
         assert 0.05 <= serial.debug_info["fallback_row_fraction"] <= 1.0
         parallel = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="parallel",
             scan_workers=WORKERS, **params).anonymize(graph)
         assert parallel.debug_info["scan_workers"] == WORKERS
         assert parallel.debug_info["parallel_scans"] > 0
@@ -405,22 +397,16 @@ class TestChunkScaling:
     def test_scan_parallelism_reflects_the_pool(self):
         graph = erdos_renyi_graph(16, 0.3, seed=1)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        session = OpacitySession(computer, graph.copy(), mode="incremental",
-                                 scan_workers=4)
+        session = OpacitySession(computer, graph.copy(), scan_workers=4)
         assert session.scan_parallelism == 4
         session.close()
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
+        serial = OpacitySession(computer, graph.copy())
         assert serial.scan_parallelism == 1
         serial.close()
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch",
-                                 scan_workers=4)
-        assert scratch.scan_parallelism == 1
-        scratch.close()
 
     def test_l1_sessions_stay_serial(self):
         graph = erdos_renyi_graph(16, 0.3, seed=1)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph.copy(), mode="incremental",
-                                 scan_workers=4)
+        session = OpacitySession(computer, graph.copy(), scan_workers=4)
         assert session.scan_parallelism == 1
         session.close()

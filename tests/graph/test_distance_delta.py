@@ -453,3 +453,76 @@ class TestFusedPreviewBatch:
         session = DistanceSession(triangle, 1)
         fused = session.preview_batch(removals=[(0, 1)], skip_unchanged=True)
         assert fused[0] is not None
+
+
+class TestBatchValidation:
+    """Batched previews reject exactly the edits ``Graph`` would reject.
+
+    Rejected: a removal of an absent edge, an insertion of a present edge
+    (unless the same candidate removes it), an edge repeated within a
+    combination, and a self-loop.  The graph is left unchanged.
+    """
+
+    @pytest.fixture
+    def graph(self):
+        return erdos_renyi_graph(12, 0.3, seed=2)
+
+    def _assert_rejected(self, graph, call):
+        before = graph.edge_set()
+        with pytest.raises(InvalidEdgeError):
+            call()
+        assert graph.edge_set() == before
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_preview_batch_rejects_invalid_removals(self, graph, length):
+        session = DistanceSession(graph, length)
+        edges = sorted(graph.edges())
+        absent = sorted(graph.non_edges())
+        for removals in ([edges[0], absent[0]],              # absent edge
+                         [(3, 3)],                           # self-loop
+                         [(edges[0], edges[1]), (edges[2], edges[2])],
+                         [(edges[0], absent[0])],            # absent in a pair
+                         [(edges[1], (4, 4))]):              # self-loop in a pair
+            self._assert_rejected(
+                graph, lambda: session.preview_batch(removals=removals))
+            self._assert_rejected(
+                graph, lambda: session.preview_batch(removals=removals,
+                                                     skip_unchanged=True))
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_preview_batch_rejects_invalid_insertions(self, graph, length):
+        session = DistanceSession(graph, length)
+        edges = sorted(graph.edges())
+        absent = sorted(graph.non_edges())
+        for insertions in ([absent[0], edges[0]], [(5, 5)]):
+            self._assert_rejected(
+                graph, lambda: session.preview_batch(insertions=insertions))
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_evaluate_edits_rejects_invalid_candidates(self, graph, length):
+        from repro.core import DegreePairTyping, OpacityComputer, OpacitySession
+
+        session = OpacitySession(OpacityComputer(DegreePairTyping(graph),
+                                                 length), graph)
+        edges = sorted(graph.edges())
+        absent = sorted(graph.non_edges())
+        scans = [
+            [((edges[0],), ()), ((absent[0],), ())],         # absent removal
+            [((), (absent[0],)), ((), (edges[0],))],         # present insertion
+            [(((6, 6),), ())],                               # self-loop
+            [((), ((7, 7),))],
+        ]
+        if length > 1:
+            scans += [
+                [((edges[0], edges[1]), ()), ((edges[2], edges[2]), ())],
+                [((edges[0], absent[0]), ())],               # look-ahead pair
+                [((edges[0],), (edges[1],))],                # swap, present
+            ]
+        for candidates in scans:
+            self._assert_rejected(
+                graph, lambda: session.evaluate_edits(candidates))
+        # Removing and re-inserting the same edge is one valid candidate.
+        both = [((edges[0],), (edges[0],))]
+        assert session.evaluate_edits(both) == \
+            [session.evaluate_edit(*both[0])]
+        assert graph.edge_set() == set(edges)

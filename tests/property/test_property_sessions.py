@@ -32,6 +32,7 @@ from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.graph import Graph
 from tests.property.strategies import graphs, length_bounds, thetas
+from reference_session import PerCandidateSession, ScratchSession, reference_run
 
 engines = st.sampled_from(sorted(available_engines()))
 fallback_fractions = st.sampled_from([0.0, 0.5, 1.0])
@@ -122,7 +123,7 @@ class TestOpacitySessionProperties:
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length, engine=engine)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         for kind, edge in script:
             session.apply_edit(
                 removals=[edge] if kind == "remove" else (),
@@ -139,8 +140,8 @@ class TestOpacitySessionProperties:
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         for kind, edge in script:
             removals = [edge] if kind == "remove" else ()
             insertions = [edge] if kind == "insert" else ()
@@ -212,12 +213,9 @@ class TestEndToEndModeEquivalence:
 
     @staticmethod
     def _assert_identical(algorithm, params, graph):
-        reference = algorithm(evaluation_mode="scratch",
-                              scan_mode="per_candidate", **params).anonymize(graph)
-        for evaluation_mode, scan_mode in (("incremental", "batched"),
-                                           ("incremental", "per_candidate")):
-            observed = algorithm(evaluation_mode=evaluation_mode,
-                                 scan_mode=scan_mode, **params).anonymize(graph)
+        reference = reference_run(algorithm(**params), graph, ScratchSession)
+        for factory in (OpacitySession, PerCandidateSession):
+            observed = reference_run(algorithm(**params), graph, factory)
             assert [(step.operation, step.edges) for step in observed.steps] == \
                    [(step.operation, step.edges) for step in reference.steps]
             assert observed.final_opacity == reference.final_opacity
@@ -264,7 +262,7 @@ class TestEvaluateEditsProperties:
                                                  fallback):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        session = OpacitySession(computer, graph, mode="incremental",
+        session = OpacitySession(computer, graph,
                                  fallback_row_fraction=fallback)
         expected = [session.evaluate_edit(removals, insertions)
                     for removals, insertions in candidates]
@@ -276,8 +274,8 @@ class TestEvaluateEditsProperties:
     def test_batch_matches_scratch_mode(self, scan_case, length):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         assert incremental.evaluate_edits(candidates) == \
             scratch.evaluate_edits(candidates)
 

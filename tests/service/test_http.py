@@ -156,6 +156,21 @@ class TestErrorPaths:
                          {"kind": "anonymize", "request": payload})
         assert caught.value.status == 400
 
+    @pytest.mark.parametrize("field,value", [("scan_mode", "per_candidate"),
+                                             ("evaluation_mode", "scratch")])
+    @pytest.mark.parametrize("kind", ["anonymize", "grid"])
+    def test_retired_evaluation_knobs_are_400_naming_the_field(
+            self, service, kind, field, value):
+        client, _store, _manager = service
+        payload = dict(BASE.to_dict(), **{field: value})
+        if kind == "grid":
+            payload = {"requests": [payload]}
+        with pytest.raises(ServiceError) as caught:
+            client._call("POST", "/jobs", {"kind": kind, "request": payload})
+        assert caught.value.status == 400
+        assert field in caught.value.payload["error"]
+        assert "unknown" in caught.value.payload["error"]
+
     @pytest.mark.parametrize("kind,extra", [("sweep", {}),
                                             ("grid", {"sweep_mode": "independent"})])
     def test_retired_sweep_submissions_are_400_naming_grid(self, service,

@@ -92,6 +92,28 @@ class TestUpgradeStored:
         assert AnonymizationResponse.from_dict(payload) == \
             AnonymizationResponse(request=BASE)
 
+    @pytest.mark.parametrize("evaluation_mode,scan_mode,kept", [
+        ("scratch", "per_candidate", None),
+        ("incremental", "batched", None),
+        ("incremental", "parallel", 3),
+    ])
+    def test_v4_evaluation_knobs_are_dropped(self, evaluation_mode, scan_mode,
+                                             kept):
+        legacy = dict(BASE.to_dict(), evaluation_mode=evaluation_mode,
+                      scan_mode=scan_mode, scan_workers=3)
+        response = AnonymizationResponse(request=BASE).to_dict()
+        response["request"] = legacy
+        kind, payload = upgrade_stored("anonymize", legacy)
+        assert AnonymizationRequest.from_dict(payload) == \
+            BASE.with_overrides(scan_workers=kept)
+        kind, payload = upgrade_stored("grid", {"requests": [legacy]})
+        assert GridRequest.from_dict(payload) == \
+            GridRequest(requests=(BASE.with_overrides(scan_workers=kept),))
+        kind, payload = upgrade_stored("anonymize", response)
+        assert AnonymizationResponse.from_dict(payload) == \
+            AnonymizationResponse(request=BASE.with_overrides(
+                scan_workers=kept))
+
     def test_current_rows_pass_through_unchanged(self):
         payload = small_grid().to_dict()
         assert upgrade_stored("grid", payload) == ("grid", payload)
@@ -428,26 +450,19 @@ class TestScanDefaults:
         with pytest.raises(ConfigurationError, match="scan_workers"):
             JobManager(store, scan_workers=-1)
 
-    def test_default_promotes_batched_requests_at_execution(self, store):
+    def test_default_fills_open_pool_sizes_at_execution(self, store):
         manager = JobManager(store, scan_workers=2)
         patched = manager._apply_scale_defaults("anonymize", BASE)
-        assert patched.scan_mode == "parallel"
-        assert patched.scan_workers == 2
+        assert patched == BASE.with_overrides(scan_workers=2)
         patched_grid = manager._apply_scale_defaults("grid", small_grid())
-        assert all(request.scan_mode == "parallel"
-                   and request.scan_workers == 2
+        assert all(request.scan_workers == 2
                    for request in patched_grid.requests)
 
     def test_explicit_scan_choices_beat_the_default(self, store):
         manager = JobManager(store, scan_workers=2)
-        serial = BASE.with_overrides(scan_mode="per_candidate")
-        assert manager._apply_scale_defaults("anonymize", serial) == serial
-        chosen = BASE.with_overrides(scan_mode="parallel", scan_workers=1)
-        assert manager._apply_scale_defaults("anonymize", chosen) == chosen
-        # Mode chosen but size left open: only the size is filled in.
-        open_size = BASE.with_overrides(scan_mode="parallel")
-        assert manager._apply_scale_defaults(
-            "anonymize", open_size).scan_workers == 2
+        for workers in (0, 1, 3):
+            chosen = BASE.with_overrides(scan_workers=workers)
+            assert manager._apply_scale_defaults("anonymize", chosen) == chosen
 
     def test_parallel_default_job_matches_a_serial_run(self, store):
         grid = small_grid()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from reference_session import PerCandidateSession, ScratchSession, use_session
 
 
 class TestParser:
@@ -42,39 +43,39 @@ class TestCommands:
         assert output.exists()
         assert "distortion=" in captured
 
-    def test_anonymize_command_evaluation_modes_agree(self, tmp_path, capsys):
+    @staticmethod
+    def _outputs_agree_with(reference, tmp_path):
         outputs = {}
-        for mode in ("incremental", "scratch"):
-            output = tmp_path / f"anon-{mode}.edges"
-            exit_code = main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                              "--algorithm", "rem", "--theta", "0.6", "--length", "1",
-                              "--seed", "0", "--evaluation-mode", mode,
-                              "--output", str(output)])
+        for name, factory in (("shipped", None), ("reference", reference)):
+            output = tmp_path / f"anon-{name}.edges"
+            args = ["anonymize", "--dataset", "gnutella", "--size", "40",
+                    "--algorithm", "rem", "--theta", "0.6", "--length", "1",
+                    "--seed", "0", "--output", str(output)]
+            if factory is None:
+                exit_code = main(args)
+            else:
+                with use_session(factory):
+                    exit_code = main(args)
             assert exit_code == 0
-            outputs[mode] = output.read_text()
-        assert outputs["incremental"] == outputs["scratch"]
+            outputs[name] = output.read_text()
+        assert outputs["shipped"] == outputs["reference"]
 
-    def test_anonymize_command_rejects_unknown_evaluation_mode(self, capsys):
+    def test_anonymize_command_evaluation_modes_agree(self, tmp_path, capsys):
+        self._outputs_agree_with(ScratchSession, tmp_path)
+
+    def test_anonymize_command_rejects_the_retired_evaluation_mode_flag(
+            self, capsys):
         with pytest.raises(SystemExit):
             main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                  "--evaluation-mode", "lazy"])
+                  "--evaluation-mode", "scratch"])
 
     def test_anonymize_command_scan_modes_agree(self, tmp_path, capsys):
-        outputs = {}
-        for mode in ("batched", "per_candidate"):
-            output = tmp_path / f"anon-{mode}.edges"
-            exit_code = main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                              "--algorithm", "rem", "--theta", "0.6", "--length", "1",
-                              "--seed", "0", "--scan-mode", mode,
-                              "--output", str(output)])
-            assert exit_code == 0
-            outputs[mode] = output.read_text()
-        assert outputs["batched"] == outputs["per_candidate"]
+        self._outputs_agree_with(PerCandidateSession, tmp_path)
 
-    def test_anonymize_command_rejects_unknown_scan_mode(self, capsys):
+    def test_anonymize_command_rejects_the_retired_scan_mode_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                  "--scan-mode", "turbo"])
+                  "--scan-mode", "per_candidate"])
 
     def test_anonymize_command_parallel_scan_agrees_with_batched(
             self, tmp_path, capsys):
@@ -85,7 +86,7 @@ class TestCommands:
             exit_code = main(["anonymize", "--dataset", "gnutella",
                               "--size", "40", "--algorithm", "rem",
                               "--theta", "0.6", "--length", "2",
-                              "--seed", "0", "--scan-mode", mode,
+                              "--seed", "0",
                               "--output", str(output)] + extra)
             assert exit_code == 0
             outputs[mode] = output.read_text()
@@ -93,7 +94,7 @@ class TestCommands:
 
     def test_anonymize_command_rejects_negative_scan_workers(self, capsys):
         exit_code = main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                          "--scan-mode", "parallel", "--scan-workers", "-1"])
+                          "--scan-workers", "-1"])
         assert exit_code != 0
 
     def test_anonymize_command_reads_edge_list(self, tmp_path, capsys):
